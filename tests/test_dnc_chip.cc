@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
+#include "common/hash.hh"
+#include "common/strutil.hh"
 #include "compiler/dnc_codegen.hh"
 #include "sim/dnc_chip.hh"
 #include "tensor/vector_ops.hh"
@@ -201,6 +203,67 @@ TEST(DncChip, LinkMatrixCostDominatesForTallMemories)
         rep.groups.at(mann::KernelGroup::Addressing).cycles);
     const double total = static_cast<double>(rep.totalCycles);
     EXPECT_GT(addressing / total, 0.3);
+}
+
+/** Cycles, energy and a digest of the exact stats JSON after a
+ * fixed four-step run of a small DNC on four tiles. */
+struct PinnedTiming
+{
+    Cycle cycles = 0;
+    Energy dynamicPj = 0.0;
+    std::uint64_t statsDigest = 0;
+};
+
+PinnedTiming
+runPinned(Fidelity fidelity)
+{
+    const DncConfig dc = makeConfig(32, 8, 2);
+    const auto model =
+        compiler::compileDnc(dc, arch::MannaConfig::withTiles(4));
+    DncChip chip(model, 5, fidelity);
+    Rng rng(29);
+    for (std::size_t t = 0; t < 4; ++t) {
+        FVec x(dc.inputDim);
+        for (auto &v : x)
+            v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        chip.step(x);
+    }
+    const RunReport rep = chip.report();
+    const std::string json = rep.stats.toJson();
+    PinnedTiming pin;
+    pin.cycles = rep.totalCycles;
+    pin.dynamicPj = rep.dynamicEnergyPj;
+    pin.statsDigest = Fnv1a().bytes(json.data(), json.size()).value();
+    return pin;
+}
+
+void
+expectPinned(const PinnedTiming &pin, Cycle cycles, double dynamicPj,
+             std::uint64_t digest)
+{
+    EXPECT_EQ(pin.cycles, cycles);
+    // Bit-exact: the energy is a sum of the same terms in the same
+    // order on every run.
+    EXPECT_EQ(pin.dynamicPj, dynamicPj)
+        << strformat("%a", pin.dynamicPj);
+    EXPECT_EQ(pin.statsDigest, digest)
+        << strformat("0x%016llx",
+                     static_cast<unsigned long long>(pin.statsDigest));
+}
+
+// The DNC's cycle count, energy and every stats counter are pinned
+// to exact values, so a change to the chip driver that moves DNC
+// timing by a single cycle or picojoule fails here.
+TEST(DncChip, PinnedCycleTiming)
+{
+    expectPinned(runPinned(Fidelity::Cycle), 6320, 0x1.54224bfcaba52p+19,
+                 0xb13e02c057b8e492ull);
+}
+
+TEST(DncChip, PinnedFastTiming)
+{
+    expectPinned(runPinned(Fidelity::Fast), 6320, 0x1.54224bfcaba8ep+19,
+                 0x451aa322ef4ba0e4ull);
 }
 
 TEST(DncChipValidation, CompileRejectsTooManyTiles)
