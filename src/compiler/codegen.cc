@@ -37,20 +37,21 @@ commIndexOf(std::uint32_t count)
 }
 
 std::size_t
-CompiledModel::maxProgramLength() const
+maxProgramLength(const std::vector<CompiledSegment> &segments)
 {
     std::size_t mx = 0;
-    for (const auto &seg : stepSegments)
+    for (const auto &seg : segments)
         for (const auto &p : seg.tilePrograms)
             mx = std::max(mx, p.size());
     return mx;
 }
 
 std::string
-CompiledModel::disassembleTile(std::size_t tile) const
+disassembleTile(const std::vector<CompiledSegment> &segments,
+                std::size_t tile)
 {
     std::string out;
-    for (const auto &seg : stepSegments) {
+    for (const auto &seg : segments) {
         MANNA_ASSERT(tile < seg.tilePrograms.size(),
                      "tile %zu out of range", tile);
         out += strformat("; ---- segment %s (%s) ----\n",
@@ -58,6 +59,18 @@ CompiledModel::disassembleTile(std::size_t tile) const
         out += seg.tilePrograms[tile].disassemble();
     }
     return out;
+}
+
+std::size_t
+CompiledModel::maxProgramLength() const
+{
+    return compiler::maxProgramLength(stepSegments);
+}
+
+std::string
+CompiledModel::disassembleTile(std::size_t tile) const
+{
+    return compiler::disassembleTile(stepSegments, tile);
 }
 
 namespace

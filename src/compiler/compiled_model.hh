@@ -58,6 +58,13 @@ struct CompiledSegment
     std::vector<isa::Program> tilePrograms; ///< one per DiffMem tile
 };
 
+/** Longest per-tile static program across @p segments. */
+std::size_t maxProgramLength(const std::vector<CompiledSegment> &segments);
+
+/** Disassembly of every segment in @p segments for one tile. */
+std::string disassembleTile(const std::vector<CompiledSegment> &segments,
+                            std::size_t tile);
+
 /** Placement of a row-partitioned matrix across the tiles. */
 struct RowPartition
 {

@@ -19,25 +19,13 @@ using isa::Space;
 std::size_t
 CompiledDnc::maxProgramLength() const
 {
-    std::size_t mx = 0;
-    for (const auto &seg : stepSegments)
-        for (const auto &p : seg.tilePrograms)
-            mx = std::max(mx, p.size());
-    return mx;
+    return compiler::maxProgramLength(stepSegments);
 }
 
 std::string
 CompiledDnc::disassembleTile(std::size_t tile) const
 {
-    std::string out;
-    for (const auto &seg : stepSegments) {
-        MANNA_ASSERT(tile < seg.tilePrograms.size(),
-                     "tile %zu out of range", tile);
-        out += strformat("; ---- segment %s (%s) ----\n",
-                         seg.name.c_str(), mann::toString(seg.group));
-        out += seg.tilePrograms[tile].disassemble();
-    }
-    return out;
+    return compiler::disassembleTile(stepSegments, tile);
 }
 
 namespace

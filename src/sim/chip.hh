@@ -3,10 +3,18 @@
  * Top-level Manna chip simulator: DiffMem tiles + H-tree NoC +
  * Controller tile, executing a compiled MANN step-by-step.
  *
- * The chip owns its own Ntm instance (constructed from the same seed
- * as the golden model, so weights are bit-identical) and uses it for
- * (i) loading head weights and the memory image onto the tiles, and
- * (ii) the functional forward pass of the controller, whose timing
+ * ChipCore is the one chip driver: it owns the tiles, NoC,
+ * Controller-tile timing model and energy model, and runs the step
+ * loop, the segment/communication scheduler, fast-mode calibration and
+ * tape replay, and report assembly for every compiled MANN. Chip (the
+ * NTM) and DncChip (sim/dnc_chip.hh) are thin shells over it that
+ * supply only their golden model, the state load and the gather
+ * methods for validation.
+ *
+ * Each shell owns its own golden-model instance (constructed from the
+ * same seed as the reference model, so weights are bit-identical) and
+ * uses it for (i) loading weights and the memory image onto the tiles,
+ * and (ii) the functional forward pass of the controller, whose timing
  * comes from the ControllerTileModel. Everything else — heads,
  * addressing, key similarity, soft read, soft write — executes
  * instruction-by-instruction on the DiffMem tile models, so the
@@ -63,7 +71,7 @@ struct RunReport
     /**
      * Hierarchical per-component counters under dotted paths:
      * "tile.<n>.<engine>.*", "noc.*", "ctrl.*", "chip.*". Populated
-     * by populateRunStats(); the full catalog is documented in
+     * at report time; the full catalog is documented in
      * docs/OBSERVABILITY.md.
      */
     StatRegistry stats;
@@ -85,45 +93,39 @@ struct RunReport
 };
 
 /**
- * Fill @p rep.stats with the dotted counter hierarchy shared by Chip
- * and DncChip (tile.<n>.*, noc.*, ctrl.*, chip.*) and derive
- * @p rep.resourceUtilization from the per-tile busy-cycle counters.
- * Requires steps/totalCycles/energy fields to be filled in already.
- */
-void populateRunStats(
-    RunReport &rep,
-    const std::vector<std::unique_ptr<DiffMemTile>> &tiles,
-    const Noc &noc, const ControllerTileModel &ctrlModel);
-
-/**
  * Register human-readable descriptions (suffix patterns, see
- * StatRegistry::describe()) for every counter family emitted by
- * populateRunStats(). Called by it; exposed so aggregated registries
+ * StatRegistry::describe()) for every counter family a RunReport's
+ * stats carry. Called at report time; exposed so aggregated registries
  * (sweep stats) can re-attach descriptions for --dump-stats.
  */
 void describeRunStats(StatRegistry &reg);
 
+/** Per-space functional storage sizes of a compiled layout. */
+template <typename Layout>
+TileLayoutSizes
+tileSizesOf(const Layout &layout)
+{
+    return {layout.matBufWords, layout.matSpadWords, layout.vecBufWords,
+            layout.vecSpadWords};
+}
+
 /**
- * The Manna chip.
+ * The chip driver shared by every compiled MANN. A shell derives from
+ * it, constructs its golden model, and calls reset() from its own
+ * constructor (reset() reaches the shell's loadState()).
  */
-class Chip
+class ChipCore
 {
   public:
-    /**
-     * Build a chip for a compiled model. @p seed must match the seed
-     * of the golden Ntm the run is compared against. With
-     * Fidelity::Fast the first kFastCalibrationSteps time steps run
-     * cycle-accurate and the rest execute functionally; report()
-     * extrapolates (see sim/fidelity.hh). Tensor results are
-     * bit-identical across fidelities.
-     */
-    Chip(const compiler::CompiledModel &model, std::uint64_t seed = 1,
-         Fidelity fidelity = Fidelity::Cycle);
+    virtual ~ChipCore() = default;
+    // The tiles hold references to energy_; a copy would share them.
+    ChipCore(const ChipCore &) = delete;
+    ChipCore &operator=(const ChipCore &) = delete;
 
     /** Reset memory, recurrent state, and all statistics. */
     void reset();
 
-    /** Execute one NTM time step; returns the output vector. */
+    /** Execute one time step; returns the controller output. */
     tensor::FVec step(const tensor::FVec &input);
 
     /** Run a sequence of inputs. */
@@ -138,12 +140,7 @@ class Chip
         return readVectors_;
     }
 
-    /** Reassemble the distributed external memory (validation). */
-    tensor::FMat gatherMemory() const;
-
-    const arch::MannaConfig &config() const { return model_.archCfg; }
-    const mann::MannConfig &mannConfig() const { return model_.mannCfg; }
-    const compiler::CompiledModel &model() const { return model_; }
+    const arch::MannaConfig &config() const { return arch_; }
     Fidelity fidelity() const { return fidelity_; }
 
     /** Attach an instruction tracer to every tile (nullptr detaches). */
@@ -158,8 +155,37 @@ class Chip
      */
     void setCancelToken(const CancelToken *token) { cancel_ = token; }
 
+  protected:
+    /**
+     * @p shape is the MANN shape the Controller-tile cost model and
+     * the analytic cycles/step estimate read. With Fidelity::Fast the
+     * first kFastCalibrationSteps time steps run cycle-accurate and
+     * the rest execute functionally; report() extrapolates (see
+     * sim/fidelity.hh). Tensor results are bit-identical across
+     * fidelities.
+     */
+    ChipCore(const arch::MannaConfig &arch, const TileLayoutSizes &sizes,
+             const std::vector<compiler::CompiledSegment> &segments,
+             const mann::MannConfig &shape, Fidelity fidelity);
+
+    /** The golden model's functional controller. */
+    virtual mann::Controller &controller() = 0;
+
+    /** Reset the golden model and write its initial state onto the
+     * freshly zeroed tiles. */
+    virtual void loadState() = 0;
+
+    /** Write @p source's rows into the tiles' slices of @p part. */
+    void loadPartition(const compiler::RowPartition &part,
+                       const tensor::FMat &source);
+
+    /** Reassemble the @p totalRows rows of @p part from the tiles. */
+    tensor::FMat gatherPartition(const compiler::RowPartition &part,
+                                 std::size_t totalRows) const;
+
+    std::vector<std::unique_ptr<DiffMemTile>> tiles_;
+
   private:
-    void loadState();
     void runSegment(const compiler::CompiledSegment &segment);
     void runTilesToCompletion(
         const compiler::CompiledSegment &segment);
@@ -169,19 +195,19 @@ class Chip
      * calibration snapshots in fast mode). */
     RunReport cycleReport() const;
     /** After the calibration prefix, switch every tile to
-     * functional-only execution and start recording the replay tape
-     * (sim/replay.hh). */
+     * functional-only execution (the replay tape is recorded during
+     * the last calibration step; sim/replay.hh). */
     void activateFastMode();
     /** Execute one time step from the recorded tape. */
     void runTape();
 
-    const compiler::CompiledModel &model_;
+    const arch::MannaConfig &arch_;
+    const TileLayoutSizes sizes_;
+    const std::vector<compiler::CompiledSegment> &segments_;
+    const mann::MannConfig shape_;
     arch::EnergyModel energy_;
     Noc noc_;
     ControllerTileModel ctrlModel_;
-    mann::Ntm ntm_; ///< weights + functional controller
-
-    std::vector<std::unique_ptr<DiffMemTile>> tiles_;
 
     // Recurrent state held at the chip (controller side).
     std::vector<tensor::FVec> readVectors_;
@@ -204,7 +230,6 @@ class Chip
     Energy ctrlEnergyPj_ = 0.0;
     std::map<mann::KernelGroup, GroupStats> groups_;
     std::size_t steps_ = 0;
-    mann::KernelGroup currentGroup_ = mann::KernelGroup::Controller;
 
     // fidelity=fast calibration state: snapshots after the first and
     // second cycle-accurate steps; fastActive_ flips once both exist.
@@ -213,14 +238,42 @@ class Chip
     RunReport calib1_;
     RunReport calib2_;
 
-    // fidelity=fast step-replay tape: recorded during the first
-    // fast-functional step, replayed for every later step. The
-    // ptr scratch vectors stage per-tile comm spans while recording.
+    // fidelity=fast step-replay tape: recorded during the last
+    // calibration step, replayed for every later step. The ptr
+    // scratch vectors stage per-tile comm spans while recording.
     ReplayTape tape_;
     std::vector<const float *> commSrcPtrs_;
     std::vector<float *> commDstPtrs_;
 
     const CancelToken *cancel_ = nullptr;
+};
+
+/**
+ * The NTM-programmed Manna chip.
+ */
+class Chip : public ChipCore
+{
+  public:
+    /**
+     * Build a chip for a compiled model. @p seed must match the seed
+     * of the golden Ntm the run is compared against. See ChipCore for
+     * the fidelity semantics.
+     */
+    Chip(const compiler::CompiledModel &model, std::uint64_t seed = 1,
+         Fidelity fidelity = Fidelity::Cycle);
+
+    /** Reassemble the distributed external memory (validation). */
+    tensor::FMat gatherMemory() const;
+
+    const mann::MannConfig &mannConfig() const { return model_.mannCfg; }
+    const compiler::CompiledModel &model() const { return model_; }
+
+  private:
+    mann::Controller &controller() override { return ntm_.controller(); }
+    void loadState() override;
+
+    const compiler::CompiledModel &model_;
+    mann::Ntm ntm_; ///< weights + functional controller
 };
 
 } // namespace manna::sim

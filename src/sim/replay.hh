@@ -209,9 +209,8 @@ void execTileOp(const ReplayOp &op, const ReplayTape *tape = nullptr);
 
 /**
  * Execute one chip-level comm op (Reduce/ReadVectorOut/Broadcast)
- * against the owning chip's staging state. UsageToAlloc is
- * chip-specific (DNC only) and is handled by the caller before
- * delegating here.
+ * against the owning chip's staging state. UsageToAlloc (DNC only)
+ * is handled by ChipCore::runTape before delegating here.
  */
 void execCommOp(const ReplayOp &op, const ReplayTape &tape,
                 std::vector<float> &nocBuffer,

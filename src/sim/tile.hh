@@ -80,16 +80,13 @@ class DiffMemTile
      */
     isa::Operand resolveOperand(const isa::Operand &op) const;
 
-    /** Read/write a resolved operand's data (used by the Chip for
-     * communication and for loading model state). */
-    std::vector<float> readOperand(const isa::Operand &op) const;
-    void writeOperand(const isa::Operand &op,
-                      const std::vector<float> &values);
-
-    /** Allocation-free twin of readOperand(): assigns into @p out,
-     * reusing its capacity (the Chip's per-tile scratch buffers). */
+    /** Read/write a resolved operand's data (used by the chip for
+     * communication). The read assigns into @p out, reusing its
+     * capacity (the chip's per-tile scratch buffers). */
     void readOperandInto(const isa::Operand &op,
                          std::vector<float> &out) const;
+    void writeOperand(const isa::Operand &op,
+                      const std::vector<float> &values);
 
     /**
      * Advance past the blocking communication instruction and fence

@@ -32,8 +32,10 @@
 #include "common/strutil.hh"
 #include "common/subprocess.hh"
 #include "compiler/compile_cache.hh"
+#include "compiler/dnc_codegen.hh"
 #include "harness/journal.hh"
 #include "harness/sweep.hh"
+#include "sim/dnc_chip.hh"
 #include "workloads/benchmarks.hh"
 
 namespace manna::harness
@@ -256,6 +258,43 @@ TEST(CancelToken, ChipHonorsCancellation)
     const auto with = runCompiled(bench, *model, 2, 1, &idle);
     const auto without = runCompiled(bench, *model, 2, 1);
     EXPECT_EQ(encodeResult(with), encodeResult(without));
+}
+
+TEST(CancelToken, DncChipHonorsCancellation)
+{
+    mann::DncConfig dc;
+    dc.memN = 16;
+    dc.memM = 8;
+    dc.controllerWidth = 16;
+    dc.inputDim = 4;
+    dc.outputDim = 3;
+    const auto model =
+        compiler::compileDnc(dc, arch::MannaConfig::withTiles(4));
+    const tensor::FVec x(dc.inputDim, 0.25f);
+
+    // A pre-fired token stops the simulation at the first step...
+    CancelToken fired;
+    fired.cancel();
+    sim::DncChip stopped(model, 3);
+    stopped.setCancelToken(&fired);
+    EXPECT_THROW(stopped.step(x), SimError);
+
+    // ...and a token that never fires must not perturb outputs or the
+    // report, in either fidelity (fast mode replays from step 3 on).
+    for (const sim::Fidelity fidelity :
+         {sim::Fidelity::Cycle, sim::Fidelity::Fast}) {
+        CancelToken idle;
+        sim::DncChip with(model, 3, fidelity);
+        sim::DncChip without(model, 3, fidelity);
+        with.setCancelToken(&idle);
+        for (std::size_t t = 0; t < 4; ++t)
+            EXPECT_EQ(with.step(x), without.step(x)) << "step " << t;
+        const sim::RunReport a = with.report();
+        const sim::RunReport b = without.report();
+        EXPECT_EQ(a.render(), b.render());
+        EXPECT_EQ(a.dynamicEnergyPj, b.dynamicEnergyPj);
+        EXPECT_EQ(a.stats.toJson(), b.stats.toJson());
+    }
 }
 
 TEST(Journal, EncodeDecodeRoundTripIsExact)
