@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.hh"
+#include "common/strutil.hh"
 #include "compiler/compiler.hh"
 #include "mann/ntm.hh"
 #include "sim/chip.hh"
@@ -257,6 +259,66 @@ TEST(Chip, EnergyAndTimeGrowWithSteps)
     EXPECT_GT(two.totalEnergyPj(), one.totalEnergyPj());
     EXPECT_GT(two.stepsPerJoule(), 0.0);
     EXPECT_GT(one.secondsPerStep(), 0.0);
+}
+
+struct PinnedTiming
+{
+    Cycle cycles = 0;
+    Energy dynamicPj = 0.0;
+    std::uint64_t statsDigest = 0;
+};
+
+PinnedTiming
+runPinned(Fidelity fidelity)
+{
+    const MannConfig mc = makeConfig(32, 8, 1, 1);
+    const auto model =
+        compiler::compile(mc, arch::MannaConfig::withTiles(4));
+    Chip chip(model, 5, fidelity);
+    Rng rng(29);
+    for (std::size_t t = 0; t < 4; ++t) {
+        FVec x(mc.inputDim);
+        for (auto &v : x)
+            v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        chip.step(x);
+    }
+    const RunReport rep = chip.report();
+    const std::string json = rep.stats.toJson();
+    PinnedTiming pin;
+    pin.cycles = rep.totalCycles;
+    pin.dynamicPj = rep.dynamicEnergyPj;
+    pin.statsDigest = Fnv1a().bytes(json.data(), json.size()).value();
+    return pin;
+}
+
+void
+expectPinned(const PinnedTiming &pin, Cycle cycles, double dynamicPj,
+             std::uint64_t digest)
+{
+    EXPECT_EQ(pin.cycles, cycles);
+    // Bit-exact: the energy is a sum of the same terms in the same
+    // order on every run.
+    EXPECT_EQ(pin.dynamicPj, dynamicPj)
+        << strformat("%a", pin.dynamicPj);
+    EXPECT_EQ(pin.statsDigest, digest)
+        << strformat("0x%016llx",
+                     static_cast<unsigned long long>(pin.statsDigest));
+}
+
+// The NTM's cycle count, energy and every stats counter (the exact
+// JSON of the registry) are pinned, so a change to the chip, the tile
+// interpreter or the counter plumbing that moves one cycle, one
+// picojoule or one counter fails here.
+TEST(Chip, PinnedCycleTiming)
+{
+    expectPinned(runPinned(Fidelity::Cycle), 4172, 0x1.1901a6d7c5e2ap+18,
+                 0x45ce91da94e684ceull);
+}
+
+TEST(Chip, PinnedFastTiming)
+{
+    expectPinned(runPinned(Fidelity::Fast), 4172, 0x1.1901a6d7c5e1p+18,
+                 0xc958719a3b2f3a27ull);
 }
 
 TEST(Chip, RenderReportMentionsGroups)
