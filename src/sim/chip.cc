@@ -156,22 +156,21 @@ populateRunStats(RunReport &rep,
                  const std::vector<std::unique_ptr<DiffMemTile>> &tiles,
                  const Noc &noc, const ControllerTileModel &ctrlModel)
 {
-    static constexpr const char *kEngines[] = {"emac", "sfu",
-                                               "mat_dma", "vec_dma"};
     StatRegistry &reg = rep.stats;
     const double total = static_cast<double>(rep.totalCycles);
+    double busyTotal[kNumLanes] = {};
     for (std::size_t t = 0; t < tiles.size(); ++t) {
+        const DiffMemTile &tile = *tiles[t];
         const std::string prefix = strformat("tile.%zu", t);
-        reg.adopt(prefix, tiles[t]->stats());
-        reg.adopt(strformat("profile.%zu", t), tiles[t]->opProfile());
-        for (const char *engine : kEngines) {
-            const double busy = tiles[t]->stats().get(
-                std::string(engine) + ".busy_cycles");
+        tile.exportCounters(reg, prefix);
+        tile.exportOpProfile(reg, strformat("profile.%zu", t));
+        for (std::size_t l = 0; l < kNumLanes; ++l) {
+            const auto lane = static_cast<TraceLane>(l);
+            const double busy = tile.busyCycles(lane);
             double stalls = 0.0;
             for (std::size_t r = 0; r < kNumStallReasons; ++r)
-                stalls += tiles[t]->stats().get(
-                    std::string(engine) + ".stall." +
-                    toString(static_cast<StallReason>(r)));
+                stalls +=
+                    tile.stallCycles(lane, static_cast<StallReason>(r));
             // Cycle accounting is closed: every engine cycle is
             // either busy or attributed to exactly one stall reason.
             // All values are integer-valued doubles, so the equality
@@ -180,25 +179,27 @@ populateRunStats(RunReport &rep,
             MANNA_ASSERT(busy + stalls == total,
                          "tile %zu %s: busy %g + stalls %g != chip "
                          "cycles %g",
-                         t, engine, busy, stalls, total);
-            reg.set(prefix + "." + engine + ".idle_cycles", stalls);
+                         t, kEngineNames[l], busy, stalls, total);
+            reg.set(prefix + "." + kEngineNames[l] + ".idle_cycles",
+                    stalls);
+            busyTotal[l] += busy;
         }
-        reg.set(prefix + ".energy_pj", tiles[t]->energyPj());
+        reg.set(prefix + ".energy_pj", tile.energyPj());
     }
-    reg.adopt("noc", noc.stats());
-    reg.adopt("ctrl", ctrlModel.stats());
+    noc.exportCounters(reg, "noc");
+    ctrlModel.exportCounters(reg, "ctrl");
     // The NoC is busy exactly during the recorded reduce/broadcast
     // exchanges (their intervals never overlap: each one starts at or
     // after the previous chip time); the controller tile is busy for
     // the cycles its forward passes contributed to chip time. The
     // remainder is attributed as a single stall bucket each.
-    const double nocBusy = noc.stats().get("reduce.cycles") +
-                           noc.stats().get("broadcast.cycles");
+    const double nocBusy = noc.counter(NocCounter::ReduceCycles) +
+                           noc.counter(NocCounter::BroadcastCycles);
     MANNA_ASSERT(nocBusy <= total,
                  "noc busy %g exceeds chip cycles %g", nocBusy, total);
     reg.set("noc.busy_cycles", nocBusy);
     reg.set("noc.stall.idle", total - nocBusy);
-    const double ctrlBusy = ctrlModel.stats().get("cycles");
+    const double ctrlBusy = ctrlModel.counter(CtrlCounter::Cycles);
     MANNA_ASSERT(ctrlBusy <= total,
                  "ctrl busy %g exceeds chip cycles %g", ctrlBusy,
                  total);
@@ -214,12 +215,12 @@ populateRunStats(RunReport &rep,
     if (rep.totalCycles > 0 && !tiles.empty()) {
         const double denom =
             total * static_cast<double>(tiles.size());
-        for (const char *engine : kEngines) {
-            const double busy =
-                reg.sumOver("tile",
-                            std::string(engine) + ".busy_cycles");
-            rep.resourceUtilization[engine] = busy / denom;
-            reg.set(std::string("chip.util.") + engine, busy / denom);
+        // Per-tile busy counts are integer-valued, so the sum is
+        // exact in any order.
+        for (std::size_t l = 0; l < kNumLanes; ++l) {
+            const double util = busyTotal[l] / denom;
+            rep.resourceUtilization[kEngineNames[l]] = util;
+            reg.set(std::string("chip.util.") + kEngineNames[l], util);
         }
     }
     describeRunStats(reg);
@@ -331,6 +332,7 @@ ChipCore::step(const tensor::FVec &input)
 
     if (!fastActive_) {
         const CtrlCost ctrlCost = ctrlModel_.forwardCost(shape_);
+        ctrlModel_.recordForwardPass(ctrlCost);
         ctrlEnergyPj_ += ctrlCost.energyPj;
         auto &ctrlGroup = groups_[mann::KernelGroup::Controller];
         ctrlGroup.cycles += ctrlCost.cycles;

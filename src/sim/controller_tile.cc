@@ -31,11 +31,9 @@ ControllerTileModel::denseLayer(std::size_t outDim,
                   cols;
 
     const double macs = static_cast<double>(outDim) * inDim;
-    stats_.inc("dense_layers");
-    stats_.inc("array_passes",
-               static_cast<double>(rowPasses * colPasses));
-    stats_.inc("macs", macs);
-    stats_.inc("cycles", static_cast<double>(cost.cycles));
+    cost.denseLayers = 1.0;
+    cost.arrayPasses = static_cast<double>(rowPasses * colPasses);
+    cost.macs = macs;
     cost.energyPj =
         macs * energy_.eventEnergyPj(arch::EnergyEvent::SystolicMac) +
         // weights + activations + outputs through the buffers
@@ -50,8 +48,7 @@ ControllerTileModel::activation(std::size_t n) const
 {
     CtrlCost cost;
     cost.cycles = ceilDiv(n, cfg_.systolicCols);
-    stats_.inc("activations", static_cast<double>(n));
-    stats_.inc("cycles", static_cast<double>(cost.cycles));
+    cost.activations = static_cast<double>(n);
     cost.energyPj =
         static_cast<double>(n) *
         (energy_.eventEnergyPj(arch::EnergyEvent::SfuOp) +
@@ -63,7 +60,6 @@ ControllerTileModel::activation(std::size_t n) const
 CtrlCost
 ControllerTileModel::forwardCost(const mann::MannConfig &mc) const
 {
-    stats_.inc("forward_passes");
     CtrlCost total;
     std::size_t inDim = mc.controllerInputDim();
     const std::size_t width = mc.hiddenDim();
@@ -83,6 +79,26 @@ ControllerTileModel::forwardCost(const mann::MannConfig &mc) const
     }
     total += denseLayer(mc.outputDim, width);
     return total;
+}
+
+void
+ControllerTileModel::recordForwardPass(const CtrlCost &pass)
+{
+    counters_[CtrlCounter::Cycles] += static_cast<double>(pass.cycles);
+    counters_[CtrlCounter::DenseLayers] += pass.denseLayers;
+    counters_[CtrlCounter::ArrayPasses] += pass.arrayPasses;
+    counters_[CtrlCounter::Macs] += pass.macs;
+    counters_[CtrlCounter::Activations] += pass.activations;
+    counters_[CtrlCounter::ForwardPasses] += 1.0;
+    recorded_ = true;
+}
+
+void
+ControllerTileModel::exportCounters(StatRegistry &reg,
+                                    const std::string &prefix) const
+{
+    if (recorded_)
+        counters_.exportTo(reg, prefix, kCtrlCounterNames);
 }
 
 } // namespace manna::sim

@@ -15,28 +15,64 @@
 #ifndef MANNA_SIM_CONTROLLER_TILE_HH
 #define MANNA_SIM_CONTROLLER_TILE_HH
 
+#include <iterator>
+#include <string>
+
 #include "arch/energy_model.hh"
 #include "arch/manna_config.hh"
-#include "common/stats.hh"
+#include "common/stat_registry.hh"
 #include "common/types.hh"
 #include "mann/mann_config.hh"
+#include "sim/counters.hh"
 
 namespace manna::sim
 {
 
-/** Cost of a unit of controller-tile work. */
+/** Cost of a unit of controller-tile work, with the work counts
+ * behind it (all integer-valued, so sums of them stay exact). */
 struct CtrlCost
 {
     Cycle cycles = 0;
     Energy energyPj = 0.0;
+    double denseLayers = 0.0;
+    double arrayPasses = 0.0;
+    double macs = 0.0;
+    double activations = 0.0; ///< activation lanes
 
     CtrlCost &operator+=(const CtrlCost &o)
     {
         cycles += o.cycles;
         energyPj += o.energyPj;
+        denseLayers += o.denseLayers;
+        arrayPasses += o.arrayPasses;
+        macs += o.macs;
+        activations += o.activations;
         return *this;
     }
 };
+
+/** The Controller tile's work counters, exported as "ctrl.<name>". */
+enum class CtrlCounter : std::size_t
+{
+    Cycles,
+    DenseLayers,
+    ArrayPasses,
+    Macs,
+    Activations,
+    ForwardPasses,
+    NumCounters,
+};
+
+constexpr std::size_t kNumCtrlCounters =
+    static_cast<std::size_t>(CtrlCounter::NumCounters);
+
+/** Registry name of every CtrlCounter, in enum order. */
+constexpr const char *kCtrlCounterNames[] = {
+    "cycles", "dense_layers", "array_passes",
+    "macs",   "activations",  "forward_passes",
+};
+static_assert(std::size(kCtrlCounterNames) == kNumCtrlCounters,
+              "one name per CtrlCounter");
 
 /** Analytic systolic-array model. */
 class ControllerTileModel
@@ -58,18 +94,26 @@ class ControllerTileModel
     /** Whole controller forward pass for one time step. */
     CtrlCost forwardCost(const mann::MannConfig &mc) const;
 
-    /** Work counters (forward passes, layer passes, macs, cycles).
-     * The cost queries are const (they are pure timing math); the
-     * counters are mutable bookkeeping on the side. */
-    const StatGroup &stats() const { return stats_; }
+    /** Count one forward pass costing @p pass (from forwardCost()). */
+    void recordForwardPass(const CtrlCost &pass);
 
-    /** Zero all counters (chip reset; keys are retained). */
-    void resetStats() { stats_.clear(); }
+    /** One work counter (forward passes, layer passes, macs, ...). */
+    double counter(CtrlCounter k) const { return counters_[k]; }
+
+    /** Write the counters into @p reg as "<prefix>.<name>", once a
+     * forward pass has been recorded since construction. */
+    void exportCounters(StatRegistry &reg,
+                        const std::string &prefix) const;
+
+    /** Zero all counters (chip reset); once recorded, they still
+     * export, at zero. */
+    void resetStats() { counters_.clear(); }
 
   private:
     const arch::MannaConfig &cfg_;
     const arch::EnergyModel &energy_;
-    mutable StatGroup stats_{"ctrl"};
+    Counters<CtrlCounter, kNumCtrlCounters> counters_;
+    bool recorded_ = false;
 };
 
 } // namespace manna::sim

@@ -56,19 +56,35 @@ Noc::broadcastEnergyPj(std::size_t words) const
 void
 Noc::recordReduce(std::size_t words, Cycle cycles)
 {
-    stats_.inc("reduce.ops");
-    stats_.inc("reduce.words", static_cast<double>(words));
-    stats_.inc("reduce.cycles", static_cast<double>(cycles));
-    stats_.inc("reduce.steps", static_cast<double>(depth()));
+    counters_[NocCounter::ReduceOps] += 1.0;
+    counters_[NocCounter::ReduceWords] += static_cast<double>(words);
+    counters_[NocCounter::ReduceCycles] += static_cast<double>(cycles);
+    counters_[NocCounter::ReduceSteps] += static_cast<double>(depth());
+    reduceRecorded_ = true;
 }
 
 void
 Noc::recordBroadcast(std::size_t words, Cycle cycles)
 {
-    stats_.inc("broadcast.ops");
-    stats_.inc("broadcast.words", static_cast<double>(words));
-    stats_.inc("broadcast.cycles", static_cast<double>(cycles));
-    stats_.inc("broadcast.steps", static_cast<double>(depth()));
+    counters_[NocCounter::BroadcastOps] += 1.0;
+    counters_[NocCounter::BroadcastWords] += static_cast<double>(words);
+    counters_[NocCounter::BroadcastCycles] +=
+        static_cast<double>(cycles);
+    counters_[NocCounter::BroadcastSteps] +=
+        static_cast<double>(depth());
+    broadcastRecorded_ = true;
+}
+
+void
+Noc::exportCounters(StatRegistry &reg, const std::string &prefix) const
+{
+    constexpr auto broadcast =
+        static_cast<std::size_t>(NocCounter::BroadcastOps);
+    if (reduceRecorded_)
+        counters_.exportTo(reg, prefix, kNocCounterNames, 0, broadcast);
+    if (broadcastRecorded_)
+        counters_.exportTo(reg, prefix, kNocCounterNames, broadcast,
+                           kNumNocCounters);
 }
 
 void

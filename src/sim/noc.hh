@@ -13,16 +13,46 @@
 #ifndef MANNA_SIM_NOC_HH
 #define MANNA_SIM_NOC_HH
 
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "arch/energy_model.hh"
 #include "arch/manna_config.hh"
-#include "common/stats.hh"
+#include "common/stat_registry.hh"
 #include "common/types.hh"
 #include "isa/isa.hh"
+#include "sim/counters.hh"
 
 namespace manna::sim
 {
+
+/** The NoC's event counters, exported as "noc.<name>": one family of
+ * four per exchange kind, reduce first. */
+enum class NocCounter : std::size_t
+{
+    ReduceOps,
+    ReduceWords,
+    ReduceCycles,
+    ReduceSteps,
+    BroadcastOps,
+    BroadcastWords,
+    BroadcastCycles,
+    BroadcastSteps,
+    NumCounters,
+};
+
+constexpr std::size_t kNumNocCounters =
+    static_cast<std::size_t>(NocCounter::NumCounters);
+
+/** Registry name of every NocCounter, in enum order. */
+constexpr const char *kNocCounterNames[] = {
+    "reduce.ops",       "reduce.words",    "reduce.cycles",
+    "reduce.steps",     "broadcast.ops",   "broadcast.words",
+    "broadcast.cycles", "broadcast.steps",
+};
+static_assert(std::size(kNocCounterNames) == kNumNocCounters,
+              "one name per NocCounter");
 
 /** Latency/energy model of the H-tree; functional combining is done
  * by the chip, which owns the tiles' data. */
@@ -60,16 +90,28 @@ class Noc
     /** Account one broadcast of @p words costing @p cycles. */
     void recordBroadcast(std::size_t words, Cycle cycles);
 
-    /** Operation counters (reduce/broadcast ops, words, step cycles). */
-    const StatGroup &stats() const { return stats_; }
+    /** One operation counter (reduce/broadcast ops, words, cycles,
+     * steps). */
+    double counter(NocCounter k) const { return counters_[k]; }
 
-    /** Zero all counters (chip reset; keys are retained). */
-    void resetStats() { stats_.clear(); }
+    /**
+     * Write the counters into @p reg as "<prefix>.<name>". Each
+     * family (reduce.*, broadcast.*) appears only once an exchange of
+     * its kind has been recorded since construction.
+     */
+    void exportCounters(StatRegistry &reg,
+                        const std::string &prefix) const;
+
+    /** Zero all counters (chip reset); recorded families still
+     * export, at zero. */
+    void resetStats() { counters_.clear(); }
 
   private:
     const arch::MannaConfig &cfg_;
     const arch::EnergyModel &energy_;
-    StatGroup stats_{"noc"};
+    Counters<NocCounter, kNumNocCounters> counters_;
+    bool reduceRecorded_ = false;
+    bool broadcastRecorded_ = false;
 };
 
 } // namespace manna::sim

@@ -24,13 +24,16 @@
 #define MANNA_SIM_TILE_HH
 
 #include <cstdint>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "arch/energy_model.hh"
 #include "arch/manna_config.hh"
-#include "common/stats.hh"
+#include "common/stat_registry.hh"
 #include "common/types.hh"
 #include "isa/program.hh"
+#include "sim/counters.hh"
 #include "sim/replay.hh"
 #include "sim/tile_memory.hh"
 #include "sim/trace.hh"
@@ -44,6 +47,93 @@ enum class RunStatus
     Done,  ///< program finished (end or Halt)
     AtComm ///< blocked on a Reduce/Broadcast
 };
+
+/**
+ * The tile's event counters, exported as "tile.<t>.<name>" (names in
+ * kTileCounterNames). The 32 stall counters of the four engines form
+ * one engine-major block: stall (lane, reason) lives at
+ * StallBase + lane * kNumStallReasons + reason.
+ */
+enum class TileCounter : std::size_t
+{
+    EmacBusyCycles,
+    EmacMacOps,
+    EmacElwiseOps,
+    SfuBusyCycles,
+    SfuOps,
+    MatDmaBusyCycles,
+    MatDmaWords,
+    VecDmaBusyCycles,
+    VecDmaWords,
+    DmatLoads,
+    DmatTransferCycles,
+    SpadConflictFreeWords,
+    SpadConflictWords,
+    Instructions,
+    CommInstructions,
+    StallBase,
+    NumCounters = StallBase + kNumLanes * kNumStallReasons,
+};
+
+constexpr std::size_t kNumTileCounters =
+    static_cast<std::size_t>(TileCounter::NumCounters);
+
+/** Registry name of every TileCounter, in enum order. */
+constexpr const char *kTileCounterNames[] = {
+    "emac.busy_cycles",
+    "emac.mac_ops",
+    "emac.elwise_ops",
+    "sfu.busy_cycles",
+    "sfu.ops",
+    "mat_dma.busy_cycles",
+    "mat_dma.words",
+    "vec_dma.busy_cycles",
+    "vec_dma.words",
+    "dmat.loads",
+    "dmat.transfer_cycles",
+    "spad.conflict_free_words",
+    "spad.conflict_words",
+    "instructions",
+    "comm_instructions",
+    "emac.stall.issue",
+    "emac.stall.ctrl",
+    "emac.stall.fence",
+    "emac.stall.drain",
+    "emac.stall.dma",
+    "emac.stall.compute",
+    "emac.stall.sfu_serial",
+    "emac.stall.bank_conflict",
+    "sfu.stall.issue",
+    "sfu.stall.ctrl",
+    "sfu.stall.fence",
+    "sfu.stall.drain",
+    "sfu.stall.dma",
+    "sfu.stall.compute",
+    "sfu.stall.sfu_serial",
+    "sfu.stall.bank_conflict",
+    "mat_dma.stall.issue",
+    "mat_dma.stall.ctrl",
+    "mat_dma.stall.fence",
+    "mat_dma.stall.drain",
+    "mat_dma.stall.dma",
+    "mat_dma.stall.compute",
+    "mat_dma.stall.sfu_serial",
+    "mat_dma.stall.bank_conflict",
+    "vec_dma.stall.issue",
+    "vec_dma.stall.ctrl",
+    "vec_dma.stall.fence",
+    "vec_dma.stall.drain",
+    "vec_dma.stall.dma",
+    "vec_dma.stall.compute",
+    "vec_dma.stall.sfu_serial",
+    "vec_dma.stall.bank_conflict",
+};
+static_assert(std::size(kTileCounterNames) == kNumTileCounters,
+              "one name per TileCounter");
+
+/** Counter-name prefix of each engine lane, in TraceLane order. */
+constexpr const char *kEngineNames[kNumLanes] = {"emac", "sfu",
+                                                 "mat_dma", "vec_dma"};
 
 /** Per-space word counts for the tile's functional storage. */
 struct TileLayoutSizes
@@ -123,19 +213,38 @@ class DiffMemTile
 
     std::size_t tileIndex() const { return tileIndex_; }
 
-    /** Event counters (macs, elwise ops, sfu ops, accesses, ...). */
-    const StatGroup &stats() const { return stats_; }
-    StatGroup &stats() { return stats_; }
+    /** One event counter (macs, elwise ops, sfu ops, words, ...). */
+    double counter(TileCounter k) const { return counters_[k]; }
+
+    /** Busy cycles of one engine. */
+    double busyCycles(TraceLane lane) const
+    {
+        return counters_[kBusyCounter[static_cast<std::size_t>(lane)]];
+    }
+
+    /** Cycles one engine spent stalled for @p reason. */
+    double stallCycles(TraceLane lane, StallReason reason) const
+    {
+        return counters_.values[stallIndex(lane, reason)];
+    }
+
+    /** Write every counter into @p reg as "<prefix>.<name>". */
+    void exportCounters(StatRegistry &reg,
+                        const std::string &prefix) const
+    {
+        counters_.exportTo(reg, prefix, kTileCounterNames);
+    }
 
     /**
-     * Per-opcode execution profile as a StatGroup with keys
-     * "<opcode>.{cycles,ops,words}" (opcode names via
+     * Write the per-opcode execution profile into @p reg as
+     * "<prefix>.<opcode>.{cycles,ops,words}" (opcode names via
      * isa::profileKey()), covering every executed non-communication
      * instruction. `cycles` is the engine-busy time attributed to the
      * opcode, so per engine lane the profile cycles sum exactly to
      * that engine's busy_cycles.
      */
-    StatGroup opProfile() const;
+    void exportOpProfile(StatRegistry &reg,
+                         const std::string &prefix) const;
 
     /** Attach (or detach, with nullptr) an instruction tracer. */
     void setTraceLogger(TraceLogger *logger) { trace_ = logger; }
@@ -165,6 +274,25 @@ class DiffMemTile
     float *operandSpanMut(const isa::Operand &op);
 
   private:
+    /** Busy counter of each engine, in TraceLane order. */
+    static constexpr TileCounter kBusyCounter[kNumLanes] = {
+        TileCounter::EmacBusyCycles, TileCounter::SfuBusyCycles,
+        TileCounter::MatDmaBusyCycles, TileCounter::VecDmaBusyCycles};
+
+    static constexpr std::size_t stallIndex(TraceLane lane,
+                                            StallReason reason)
+    {
+        return static_cast<std::size_t>(TileCounter::StallBase) +
+               static_cast<std::size_t>(lane) * kNumStallReasons +
+               static_cast<std::size_t>(reason);
+    }
+
+    /** Add @p cycles to the (lane, reason) stall counter. */
+    void addStall(TraceLane lane, StallReason reason, double cycles)
+    {
+        counters_.values[stallIndex(lane, reason)] += cycles;
+    }
+
     /** Record @p op if a tape is attached, then execute it via the
      * shared functional implementation (sim/replay.cc). Called by the
      * exec* handlers in BOTH fidelities, so interpreted and replayed
@@ -276,11 +404,6 @@ class DiffMemTile
         return engineFree_[static_cast<std::size_t>(lane)];
     }
 
-    /** Pre-register every documented counter key at zero, so profile
-     * consumers (and the docs catalog lint) always see the full key
-     * set even for stall reasons a workload never hits. */
-    void initStatKeys();
-
     // --- timing state ------------------------------------------------------
     Cycle now_ = 0;
     Cycle engineFree_[kNumLanes] = {0, 0, 0, 0};
@@ -300,9 +423,12 @@ class DiffMemTile
 
     // --- accounting ----------------------------------------------------------
     Energy energyPj_ = 0.0;
-    StatGroup stats_;
-    /** Per-opcode totals (indexed by isa::Opcode); folded into a
-     * StatGroup only at report time by opProfile(). */
+    /** Exported in full, so profile consumers (and the docs catalog
+     * lint) always see every key, even for stall reasons a workload
+     * never hits. */
+    Counters<TileCounter, kNumTileCounters> counters_;
+    /** Per-opcode totals (indexed by isa::Opcode); named only at
+     * report time by exportOpProfile(). */
     double opCycles_[static_cast<std::size_t>(
         isa::Opcode::NumOpcodes)] = {};
     double opOps_[static_cast<std::size_t>(isa::Opcode::NumOpcodes)] =

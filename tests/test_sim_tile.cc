@@ -500,7 +500,7 @@ TEST(TileTiming, EnergyAccumulates)
         inst(Opcode::EwAddImm, vb(128, 64), vb(0, 64), {}, 1.0f));
     f.run();
     EXPECT_GT(f.tile.energyPj(), before);
-    EXPECT_GT(f.tile.stats().get("instructions"), 0.0);
+    EXPECT_GT(f.tile.counter(TileCounter::Instructions), 0.0);
 }
 
 TEST(TileComm, BlocksAtReduceAndResumes)
