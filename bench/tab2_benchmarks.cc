@@ -7,7 +7,7 @@
  * The simulated column runs through the fault-isolated sweep runner,
  * so the usual knobs apply (steps= [default 1], jobs=, bench=
  * single-benchmark filter, retries=/timeout=/journal=/resume=,
- * progress=/stats=/bench_json=, shards=, fidelity=cycle|fast).
+ * progress=/stats=/bench_json=, server=, fidelity=cycle|fast).
  * Benchmarks whose memory has
  * fewer rows than 16 tiles render "-" (the paper's 16-tile point
  * cannot run them); failed simulation points render as FAILED cells

@@ -3,19 +3,23 @@
 #
 # Runs the golden fig12_strong_scaling point (bench=copy steps=1
 # jobs=1) once cleanly, then re-runs it under a rotating schedule of
-# injected faults — worker crashes, silent worker exits, heartbeat
-# stalls, fsync failures, torn journal appends, and bit-corrupted
-# journal reads (see docs/ROBUSTNESS.md for the site catalog). Every
-# faulted run must exit 0 and produce byte-identical stdout to the
-# clean run, and the journal-corruption phases must surface their
-# damage in the stats.json `journal.corrupt_records` field.
+# injected faults — fsync failures, torn journal appends, and
+# bit-corrupted journal reads (see docs/ROBUSTNESS.md for the site
+# catalog). Every faulted run must exit 0 and produce byte-identical
+# stdout to the clean run, and the journal-corruption phases must
+# surface their damage in the stats.json `journal.corrupt_records`
+# field.
 #
 # Usage: chaos_soak.sh <fig12_strong_scaling binary> [mannad binary]
 #
-# With a mannad binary the soak adds a service phase: the golden point
-# re-run through a daemon whose pool worker crashes at task pickup
-# (pool.worker.crash), which must requeue the task and keep the
-# report byte-identical (docs/SERVICE.md).
+# With a mannad binary the soak adds three service phases, each
+# byte-identical to the clean run (docs/SERVICE.md): a two-daemon
+# server= list whose first daemon aborts at its first job pickup
+# (server.crash; the job fails over to the second daemon), the same
+# list whose first daemon wedges that job (server.stall; the watchdog
+# cancel goes unconfirmed, the daemon is marked down and the retry
+# runs on the second), and one daemon whose pool worker crashes at
+# task pickup (pool.worker.crash; the task is requeued).
 set -u
 
 bin=${1:-}
@@ -28,16 +32,24 @@ fi
 
 # The soak controls its own fault schedule and process topology;
 # ambient knobs from the environment would skew it.
-unset MANNA_FAULTS MANNA_FAULT_SEED MANNA_SHARDS MANNA_SHARD_SPAWN \
-      MANNA_SHARD_HEARTBEAT MANNA_JOBS MANNA_RETRIES MANNA_TIMEOUT \
-      MANNA_STATS MANNA_TRACE MANNA_PROGRESS MANNA_PROFILE \
-      MANNA_BENCH_JSON MANNA_SERVER MANNA_POOL MANNA_QUEUE_DEPTH \
-      MANNA_STEAL MANNA_CLIENTS 2>/dev/null
+unset MANNA_FAULTS MANNA_FAULT_SEED MANNA_JOBS MANNA_RETRIES \
+      MANNA_TIMEOUT MANNA_STATS MANNA_TRACE MANNA_PROGRESS \
+      MANNA_PROFILE MANNA_BENCH_JSON MANNA_SERVER MANNA_POOL \
+      MANNA_QUEUE_DEPTH MANNA_CLIENTS 2>/dev/null
+# An injected daemon abort must not leave a core file behind.
+ulimit -c 0
 
 tmpdir=$(mktemp -d)
-daemon_pid=
+daemon_pids=()
+stop_daemons() {
+    for pid in "${daemon_pids[@]}"; do
+        kill "$pid" 2>/dev/null
+        wait "$pid" 2>/dev/null
+    done
+    daemon_pids=()
+}
 cleanup() {
-    [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null
+    stop_daemons
     rm -rf "$tmpdir"
 }
 trap cleanup EXIT INT TERM
@@ -77,27 +89,61 @@ logged() {
         complain "phase '$1' stderr lacks '$2'"
 }
 
+# start_daemon <name> <arg>... — start mannad on $tmpdir/<name>.sock
+# (stderr in $tmpdir/<name>.daemon.err) and wait for its socket.
+start_daemon() {
+    local name=$1
+    shift
+    "$mannad" server="unix:$tmpdir/$name.sock" pool=2 fault_seed=7 "$@" \
+        > "$tmpdir/$name.daemon.out" 2> "$tmpdir/$name.daemon.err" &
+    daemon_pids+=($!)
+    for _ in $(seq 50); do
+        [ -S "$tmpdir/$name.sock" ] && return 0
+        sleep 0.1
+    done
+    complain "mannad '$name' never came up"
+    return 1
+}
+
+have_mannad=0
+[ -n "$mannad" ] && [ -x "$mannad" ] && have_mannad=1
+
 # --- phase 0: clean golden run -------------------------------------
 run clean 0 || { echo "chaos_soak: no golden run; aborting" >&2; exit 1; }
 
-# --- phase 1: every round-0 worker crashes hard --------------------
-run crash 0 shards=2 faults=worker.crash:once@1 &&
-    { identical crash; logged crash "was lost"; }
+if [ "$have_mannad" -eq 1 ]; then
+    # --- phase 1: a daemon aborts at its first job pickup ----------
+    if start_daemon crash_a faults=server.crash:once@1 &&
+            start_daemon crash_b &&
+            run crash 0 \
+                server="unix:$tmpdir/crash_a.sock,unix:$tmpdir/crash_b.sock"
+    then
+        identical crash
+        logged crash "resubmitting it to the next live daemon"
+        grep -q "crashing at job pickup (injected)" \
+            "$tmpdir/crash_a.daemon.err" ||
+            complain "daemon did not report the injected abort"
+    fi
+    stop_daemons
 
-# --- phase 2: workers exit 0 without producing their journal -------
-run silent 0 shards=2 faults=worker.silent_exit:once@1 &&
-    { identical silent; logged silent "without writing its journal"; }
+    # --- phase 2: a daemon wedges a job and ignores the cancel -----
+    if start_daemon stall_a faults=server.stall:once@1 &&
+            start_daemon stall_b &&
+            run stall 0 timeout=2 retries=1 \
+                server="unix:$tmpdir/stall_a.sock,unix:$tmpdir/stall_b.sock"
+    then
+        identical stall
+        logged stall "did not confirm a cancel in time; marking it down"
+    fi
+    stop_daemons
+fi
 
-# --- phase 3: workers hang with their heartbeat stopped ------------
-run stall 0 shards=2 shard_heartbeat=0.2 faults=worker.stall:once@1 &&
-    { identical stall; logged stall "missed heartbeats"; }
-
-# --- phase 4: journal fsync fails mid-sweep ------------------------
+# --- phase 3: journal fsync fails mid-sweep ------------------------
 run fsync 0 journal="$tmpdir/fsync.journal" \
     faults=journal.fsync:once@1 &&
     { identical fsync; logged fsync "checkpointing disabled"; }
 
-# --- phase 5: torn journal append, then resume past it -------------
+# --- phase 4: torn journal append, then resume past it -------------
 run torn 0 journal="$tmpdir/torn.journal" \
     faults=journal.append.torn:once@1 &&
     identical torn
@@ -108,7 +154,7 @@ if run torn_resume 0 resume="$tmpdir/torn.journal" \
         complain "torn resume did not count 1 corrupt record"
 fi
 
-# --- phase 6: bit corruption on journal read -----------------------
+# --- phase 5: bit corruption on journal read -----------------------
 run seedj 0 journal="$tmpdir/read.journal" && identical seedj
 if run read_corrupt 0 resume="$tmpdir/read.journal" \
         faults=journal.read.corrupt:once@1 \
@@ -118,33 +164,18 @@ if run read_corrupt 0 resume="$tmpdir/read.journal" \
         complain "corrupt-read resume did not count 1 corrupt record"
 fi
 
-# --- phase 7: daemon pool worker crashes at task pickup ------------
-phases=6
-if [ -n "$mannad" ] && [ -x "$mannad" ]; then
-    phases=7
-    sock="$tmpdir/chaos.sock"
-    "$mannad" server="unix:$sock" pool=2 \
-        faults=pool.worker.crash:once@1 fault_seed=7 \
-        > "$tmpdir/daemon.out" 2> "$tmpdir/daemon.err" &
-    daemon_pid=$!
-    up=0
-    for _ in $(seq 50); do
-        [ -S "$sock" ] && { up=1; break; }
-        sleep 0.1
-    done
-    if [ "$up" -eq 1 ]; then
-        if run pool_crash 0 server="unix:$sock"; then
-            identical pool_crash
-            grep -q "crashed (injected); restarting" \
-                "$tmpdir/daemon.err" ||
-                complain "daemon did not report the worker restart"
-        fi
-    else
-        complain "mannad never came up for the pool.worker.crash phase"
+# --- phase 6: daemon pool worker crashes at task pickup ------------
+phases=3
+if [ "$have_mannad" -eq 1 ]; then
+    phases=6
+    if start_daemon pool faults=pool.worker.crash:once@1 &&
+            run pool_crash 0 server="unix:$tmpdir/pool.sock"; then
+        identical pool_crash
+        grep -q "crashed (injected); restarting" \
+            "$tmpdir/pool.daemon.err" ||
+            complain "daemon did not report the worker restart"
     fi
-    kill "$daemon_pid" 2>/dev/null
-    wait "$daemon_pid" 2>/dev/null
-    daemon_pid=
+    stop_daemons
 fi
 
 if [ "$errors" -gt 0 ]; then

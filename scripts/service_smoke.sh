@@ -10,6 +10,13 @@
 # daemon cancels its jobs and stays healthy, and the daemon's metrics
 # JSONL must carry the queue-depth/steal sample fields.
 #
+# Then three fresh daemons serve one sweep through a server= list:
+# stdout must match the in-process run and a one-daemon run, the
+# bench_json snapshots must match the in-process one exactly
+# (bench_compare.py --tol 0), the merged harness trace must hold one
+# trace pid per process (client + 3 daemons), and the client's
+# metrics series must be non-empty.
+#
 # Usage: service_smoke.sh <mannad> <manna-submit> <fig12 binary>
 set -u
 
@@ -25,17 +32,20 @@ for bin in "$mannad" "$submit" "$bench"; do
 done
 
 # The smoke controls its own topology; ambient knobs would skew it.
-unset MANNA_SERVER MANNA_POOL MANNA_QUEUE_DEPTH MANNA_STEAL \
-      MANNA_CLIENTS MANNA_FAULTS MANNA_FAULT_SEED MANNA_SHARDS \
-      MANNA_SHARD_SPAWN MANNA_SHARD_HEARTBEAT MANNA_JOBS \
-      MANNA_RETRIES MANNA_TIMEOUT MANNA_STATS MANNA_TRACE \
-      MANNA_PROGRESS MANNA_PROFILE MANNA_BENCH_JSON MANNA_EVENTS \
-      2>/dev/null
+unset MANNA_SERVER MANNA_POOL MANNA_QUEUE_DEPTH MANNA_CLIENTS \
+      MANNA_FAULTS MANNA_FAULT_SEED MANNA_JOBS MANNA_RETRIES \
+      MANNA_TIMEOUT MANNA_STATS MANNA_TRACE MANNA_PROGRESS \
+      MANNA_PROFILE MANNA_BENCH_JSON MANNA_EVENTS MANNA_METRICS \
+      MANNA_HARNESS_TRACE 2>/dev/null
 
 tmpdir=$(mktemp -d)
 daemon_pid=
+list_pids=()
 cleanup() {
     [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null
+    for pid in "${list_pids[@]}"; do
+        kill "$pid" 2>/dev/null
+    done
     rm -rf "$tmpdir"
 }
 trap cleanup EXIT INT TERM
@@ -147,9 +157,82 @@ tail -n +2 "$tmpdir/daemon_metrics.jsonl" |
     grep -q '"steals":' ||
     complain "metrics samples lack steal counts"
 
+# --- one sweep over a three-daemon server= list --------------------
+list="bench=copy steps=1 jobs=1"
+# shellcheck disable=SC2086
+"$bench" $list bench_json="$tmpdir/plain.json" > "$tmpdir/plain.txt" \
+    2> "$tmpdir/plain.err" ||
+    complain "in-process list-golden run failed"
+addrs=()
+for name in a b c; do
+    "$mannad" server="unix:$tmpdir/$name.sock" pool=2 \
+        events="$tmpdir/$name.events" \
+        > "$tmpdir/$name.out" 2> "$tmpdir/$name.err" &
+    list_pids+=($!)
+    addrs+=("unix:$tmpdir/$name.sock")
+done
+for addr in "${addrs[@]}"; do
+    for _ in $(seq 50); do
+        "$submit" server="$addr" ping >/dev/null 2>&1 && break
+        sleep 0.1
+    done
+    "$submit" server="$addr" ping > /dev/null 2>&1 ||
+        complain "daemon $addr never became reachable"
+done
+three=$(IFS=,; echo "${addrs[*]}")
+
+# shellcheck disable=SC2086
+"$bench" $list server="${addrs[0]}" bench_json="$tmpdir/one.json" \
+    > "$tmpdir/one.txt" 2> "$tmpdir/one.err" ||
+    complain "one-daemon run failed"
+# shellcheck disable=SC2086
+"$bench" $list server="$three" bench_json="$tmpdir/three.json" \
+    > "$tmpdir/three.txt" 2> "$tmpdir/three.err" ||
+    complain "three-daemon run failed"
+for run in one three; do
+    cmp -s "$tmpdir/plain.txt" "$tmpdir/$run.txt" ||
+        complain "$run-daemon stdout differs from in-process"
+    # The counters come back over the wire bit-exactly: no tolerance.
+    python3 "$(dirname "$0")/bench_compare.py" "$tmpdir/plain.json" \
+        "$tmpdir/$run.json" --tol 0 > "$tmpdir/$run.compare" 2>&1 ||
+        complain "$run-daemon bench_json differs:" \
+                 "$(tr '\n' ' ' < "$tmpdir/$run.compare")"
+done
+
+# Tracing must not perturb output; the merged trace holds the client
+# plus each daemon's advertised event file (one trace pid each; the
+# daemons flush their spans in batches, so only the client's own
+# spans are certain to be in it yet).
+# shellcheck disable=SC2086
+"$bench" $list server="$three" events="$tmpdir/client.events" \
+    harness_trace="$tmpdir/harness_trace.json" \
+    metrics="$tmpdir/metrics.jsonl" > "$tmpdir/events.txt" \
+    2> "$tmpdir/events.err" ||
+    complain "traced three-daemon run failed"
+cmp -s "$tmpdir/plain.txt" "$tmpdir/events.txt" ||
+    complain "stdout changed when event tracing was armed"
+python3 - "$tmpdir/harness_trace.json" <<'EOF' || errors=$((errors + 1))
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["otherData"]["schema"] == "manna-harness-trace-v1", doc["otherData"]
+pids = {e["pid"] for e in doc["traceEvents"]}
+assert len(pids) == 4, f"expected 4 trace pids, got {sorted(pids)}"
+names = {e["name"] for e in doc["traceEvents"]}
+assert "sweep.run" in names and "job.run" in names, sorted(names)
+EOF
+head -1 "$tmpdir/metrics.jsonl" | grep -q "manna-metrics-v1" ||
+    complain "metrics series missing its manna-metrics-v1 header"
+[ "$(wc -l < "$tmpdir/metrics.jsonl")" -ge 2 ] ||
+    complain "metrics series has no samples"
+for pid in "${list_pids[@]}"; do
+    kill "$pid" 2>/dev/null
+    wait "$pid" 2>/dev/null
+done
+list_pids=()
+
 if [ "$errors" -gt 0 ]; then
     echo "service_smoke: $errors problem(s)" >&2
     exit 1
 fi
 echo "service_smoke: OK (3 concurrent clients byte-identical," \
-     "SIGTERM'd client cancelled cleanly)"
+     "SIGTERM'd client cancelled cleanly, 3-daemon list matches)"

@@ -36,16 +36,16 @@ void setLogLevel(LogLevel level);
 LogLevel logLevel();
 
 /**
- * Tag this process's stderr diagnostics with a role ("coord",
- * "shard 2"). When set, every warn()/inform()/debugLog() line is
- * prefixed with an ISO-8601 UTC timestamp and the role, so the
- * interleaved stderr of a multi-process sweep stays attributable:
+ * Tag this process's stderr diagnostics with a role ("daemon"). When
+ * set, every warn()/inform()/debugLog() line is prefixed with an
+ * ISO-8601 UTC timestamp and the role, so a daemon's log stays
+ * attributable when several processes share a terminal:
  *
- *   2026-08-08T12:34:56.789Z [shard 2] warn: ...
+ *   2026-08-08T12:34:56.789Z [daemon] warn: ...
  *
- * Empty (the default, and for plain single-process runs) keeps the
+ * Empty (the default, and for bench and client runs) keeps the
  * classic "warn: ..." format. Thread-unsafe; set once at startup
- * (the shard layer does, from sweepOptionsFromConfig()).
+ * (mannad does, from serverOptionsFromConfig()).
  */
 void setLogRole(const std::string &role);
 

@@ -75,10 +75,10 @@ spawnProcess(const std::vector<std::string> &argv,
     // exec-error pipe: the child writes errno when execvp fails, the
     // write end closes on a successful exec (CLOEXEC), so the parent
     // reads either one errno or clean EOF. Both parent-side fds must
-    // be closed on EVERY return path below — the shard coordinator
-    // spawns workers in a loop for hours, and a leaked pair per
-    // failed spawn exhausts the fd table (regression-tested by
-    // counting /proc/self/fd in test_robustness.cc).
+    // be closed on EVERY return path below — a caller that spawns in
+    // a loop for hours would otherwise exhaust the fd table with one
+    // leaked pair per failed spawn (regression-tested by counting
+    // /proc/self/fd in test_robustness.cc).
     int errPipe[2] = {-1, -1};
     if (::pipe2(errPipe, O_CLOEXEC) != 0) {
         warn("spawnProcess: pipe2 failed (%s)", std::strerror(errno));
@@ -184,32 +184,6 @@ killProcess(pid_t pid, int sig)
     if (pid <= 0)
         return;
     ::kill(pid, sig == 0 ? SIGKILL : sig);
-}
-
-std::string
-shellQuote(const std::string &s)
-{
-    std::string out = "'";
-    for (char c : s) {
-        if (c == '\'')
-            out += "'\\''";
-        else
-            out += c;
-    }
-    out += "'";
-    return out;
-}
-
-std::string
-shellJoin(const std::vector<std::string> &argv)
-{
-    std::string out;
-    for (std::size_t i = 0; i < argv.size(); ++i) {
-        if (i > 0)
-            out += ' ';
-        out += shellQuote(argv[i]);
-    }
-    return out;
 }
 
 } // namespace manna

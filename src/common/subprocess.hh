@@ -1,15 +1,13 @@
 /**
  * @file
- * Minimal process-spawning utilities for the distributed sweep
- * harness (see docs/DISTRIBUTED.md). A shard coordinator fork/execs
- * worker copies of its own binary with stdout/stderr redirected to
- * per-worker log files, polls them without blocking so it can enforce
- * wall-clock budgets, and reaps their exit status to tell a clean
- * exit from a crash.
+ * Minimal process-spawning utilities: fork/exec a child with
+ * stdout/stderr redirected to log files, poll it without blocking so
+ * the caller can enforce wall-clock budgets, and reap its exit status
+ * to tell a clean exit from a crash. perfbench spawns the bench and
+ * mannad processes it times this way; the tests spawn mannad.
  *
  * POSIX only (fork/execvp/waitpid), matching the repo's existing use
- * of fsync(); no shell is involved unless the caller explicitly
- * spawns one (the multi-machine spawn template does).
+ * of fsync(); no shell is involved.
  */
 
 #ifndef MANNA_COMMON_SUBPROCESS_HH
@@ -64,14 +62,6 @@ ProcessStatus waitProcess(pid_t pid);
 
 /** Send @p sig (default SIGKILL) to a child; no-op on pid <= 0. */
 void killProcess(pid_t pid, int sig = 0 /* 0 = SIGKILL */);
-
-/** Quote a string for safe interpolation into a POSIX shell command
- * (single-quote wrapping with embedded-quote escaping). */
-std::string shellQuote(const std::string &s);
-
-/** shellQuote() and join @p argv with spaces: the {cmd} substitution
- * of the multi-machine spawn template. */
-std::string shellJoin(const std::vector<std::string> &argv);
 
 } // namespace manna
 

@@ -1,10 +1,14 @@
 #include "client.hh"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include <sys/socket.h>
@@ -35,6 +39,13 @@ constexpr int kConnectBackoffMs = 100;
  * decides whether the job gets another one). */
 constexpr int kMaxResubmits = 5;
 
+/** Daemons a job may be lost on (in flight when the daemon crashed
+ * or went silent) before it is poisoned: it then fails with IoError
+ * instead of taking down daemon after daemon. Lost daemons stay down
+ * for the rest of the sweep, so this bound makes a sweep over a
+ * daemon list terminate. */
+constexpr std::size_t kMaxLostDaemons = 2;
+
 ErrorKind
 kindFromWire(std::string_view text)
 {
@@ -51,11 +62,23 @@ kindFromWire(std::string_view text)
  * One connection to mannad shared by every sweep worker thread: a
  * background receiver routes response frames to per-job slots; a
  * lost connection bumps the generation counter so blocked executors
- * reconnect and resubmit.
+ * either fail over to another daemon or reconnect and resubmit.
  */
 class DaemonClient
 {
   public:
+    /** Result of one execute() call. An empty result means this
+     * daemon is down and the job should go to another one. */
+    struct Outcome
+    {
+        std::optional<MannaResult> result;
+        bool inFlight = false; ///< the job was submitted before the loss
+    };
+
+    /** Asked on a connection loss: true when another daemon can take
+     * the job, so this one is marked down instead of reconnected. */
+    using FailoverFn = std::function<bool()>;
+
     DaemonClient(net::NetAddress addr, std::string name)
         : addr_(std::move(addr)), name_(std::move(name))
     {}
@@ -77,19 +100,33 @@ class DaemonClient
         }
     }
 
-    MannaResult
+    Outcome
     execute(const SweepJob &job, std::uint64_t id,
-            const CancelToken &token)
+            const CancelToken &token, const FailoverFn &canFailOver)
     {
         std::string submit = strformat(
             "id %llu priority 0 job ",
             static_cast<unsigned long long>(id));
         proto::appendSized(submit, proto::encodeJob(job));
 
+        bool submitted = false;
         for (int cycle = 0; cycle < kMaxResubmits; ++cycle) {
             if (token.cancelled())
                 throw SimError("job cancelled before submission");
-            ensureConnected(); // throws IoError when unreachable
+            // A dropped connection is only re-established when no
+            // other daemon can take the job.
+            if (down() || (lostConnection() && canFailOver())) {
+                markDown();
+                return {std::nullopt, submitted};
+            }
+            if (!ensureConnected()) {
+                if (canFailOver()) {
+                    markDown();
+                    return {std::nullopt, submitted};
+                }
+                throw IoError(strformat("cannot reach mannad at %s",
+                                        addr_.describe().c_str()));
+            }
             std::uint64_t gen;
             {
                 std::lock_guard<std::mutex> lock(mu_);
@@ -98,6 +135,7 @@ class DaemonClient
             }
             if (!sendRequest(proto::MsgType::Submit, submit))
                 continue; // connection just died; reconnect & retry
+            submitted = true;
 
             bool cancelSent = false;
             auto cancelDeadline =
@@ -110,13 +148,12 @@ class DaemonClient
                     slots_.erase(id);
                     lock.unlock();
                     if (out.ok) {
-                        const auto result =
-                            decodeResult(out.resultText);
+                        auto result = decodeResult(out.resultText);
                         if (!result)
                             throw IoError(
                                 "daemon returned a malformed "
                                 "result payload");
-                        return *result;
+                        return {std::move(result), true};
                     }
                     throw Error(out.kind, out.message,
                                 ErrorContext{job.fingerprint(),
@@ -155,6 +192,13 @@ class DaemonClient
                 if (cancelSent && std::chrono::steady_clock::now() >
                                       cancelDeadline) {
                     slots_.erase(id);
+                    lock.unlock();
+                    if (canFailOver()) {
+                        warn("mannad at %s did not confirm a cancel "
+                             "in time; marking it down",
+                             addr_.describe().c_str());
+                        markDown();
+                    }
                     throw SimError(
                         "job cancelled; daemon did not confirm in "
                         "time");
@@ -170,6 +214,21 @@ class DaemonClient
             addr_.describe().c_str()));
     }
 
+    std::string describe() const { return addr_.describe(); }
+
+    bool down() const { return down_.load(); }
+
+    /** Take this daemon out of the rotation for the rest of the
+     * sweep (idempotent; warns once). */
+    void
+    markDown()
+    {
+        if (!down_.exchange(true))
+            warn("mannad at %s is down; failing over to the other "
+                 "daemons",
+                 addr_.describe().c_str());
+    }
+
   private:
     struct Slot
     {
@@ -181,16 +240,25 @@ class DaemonClient
         std::uint64_t retryAfterMs = 0;
     };
 
+    /** True once a connection of this client has dropped. */
+    bool
+    lostConnection()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return generation_ > 0;
+    }
+
     /** Serialized (re)connection: connect with retries, handshake,
-     * spawn the receiver. Throws IoError when the budget runs out. */
-    void
+     * spawn the receiver. Returns false when the connect budget runs
+     * out; throws IoError when the handshake fails. */
+    bool
     ensureConnected()
     {
         std::lock_guard<std::mutex> serial(connectMu_);
         {
             std::lock_guard<std::mutex> lock(mu_);
             if (fd_ >= 0)
-                return;
+                return true;
         }
         if (receiver_.joinable())
             receiver_.join(); // the old receiver has observed the
@@ -204,8 +272,7 @@ class DaemonClient
                 std::chrono::milliseconds(kConnectBackoffMs));
         }
         if (fd < 0)
-            throw IoError(strformat("cannot reach mannad at %s",
-                                    addr_.describe().c_str()));
+            return false;
 
         std::string hello = "hello v1 name ";
         proto::appendSized(hello, name_);
@@ -246,6 +313,7 @@ class DaemonClient
             fd_ = fd;
         }
         receiver_ = std::thread([this] { receiverLoop(); });
+        return true;
     }
 
     bool
@@ -391,6 +459,85 @@ class DaemonClient
     std::uint64_t generation_ = 0;
     bool shuttingDown_ = false;
     bool eventsRegistered_ = false;
+    std::atomic<bool> down_{false};
+};
+
+/**
+ * The daemons of one server= list. Job i goes first to daemon
+ * i mod N; a daemon whose connection drops while another is live is
+ * marked down and the job moves at once to the next live daemon in
+ * ring order, within the same attempt. One address is exactly the
+ * single-daemon client: no failover, reconnect within the budget.
+ */
+class DaemonRing
+{
+  public:
+    DaemonRing(const std::string &spec, std::size_t jobs)
+        : lostOn_(jobs)
+    {
+        const std::string name =
+            strformat("client-%ld", static_cast<long>(::getpid()));
+        for (const std::string &part : split(spec, ',')) {
+            const std::string address = trim(part);
+            if (!address.empty())
+                daemons_.push_back(std::make_unique<DaemonClient>(
+                    net::parseAddress(address), name));
+        }
+        if (daemons_.empty())
+            throw ConfigError(strformat(
+                "server=%s names no daemon address", spec.c_str()));
+    }
+
+    MannaResult
+    execute(const SweepJob &job, std::size_t i,
+            const CancelToken &token)
+    {
+        const std::size_t n = daemons_.size();
+        // Only this job's attempts touch lostOn_[i], one at a time.
+        std::vector<std::string> &lost = lostOn_[i];
+        std::size_t d = i % n;
+        while (true) {
+            if (lost.size() >= kMaxLostDaemons)
+                throw IoError(strformat(
+                    "job poisoned: lost in flight on %s and %s; not "
+                    "resubmitted",
+                    lost[0].c_str(), lost[1].c_str()));
+            std::size_t step = 0;
+            while (step < n && daemons_[(d + step) % n]->down())
+                ++step;
+            if (step == n)
+                throw IoError("every daemon of server= is down");
+            d = (d + step) % n;
+            DaemonClient &daemon = *daemons_[d];
+            DaemonClient::Outcome out =
+                daemon.execute(job, i, token, [this, d] {
+                    return anotherLive(d);
+                });
+            if (out.result)
+                return std::move(*out.result);
+            if (out.inFlight) {
+                lost.push_back(daemon.describe());
+                if (lost.size() < kMaxLostDaemons)
+                    warn("job #%zu lost on %s; resubmitting it to the "
+                         "next live daemon",
+                         i, daemon.describe().c_str());
+            }
+            d = (d + 1) % n;
+        }
+    }
+
+  private:
+    bool
+    anotherLive(std::size_t self) const
+    {
+        for (std::size_t d = 0; d < daemons_.size(); ++d)
+            if (d != self && !daemons_[d]->down())
+                return true;
+        return false;
+    }
+
+    std::vector<std::unique_ptr<DaemonClient>> daemons_;
+    std::vector<std::vector<std::string>> lostOn_;
 };
 
 /** Short-lived control connection for ping/stats/shutdown. */
@@ -441,9 +588,7 @@ runServerSweep(SweepRunner &runner,
                const std::vector<SweepJob> &jobs,
                const SweepOptions &opts)
 {
-    const net::NetAddress addr = net::parseAddress(opts.server);
-    DaemonClient daemon(
-        addr, strformat("client-%ld", static_cast<long>(::getpid())));
+    DaemonRing daemons(opts.server, jobs.size());
 
     std::vector<std::string> labels;
     std::vector<std::uint64_t> fingerprints;
@@ -456,8 +601,8 @@ runServerSweep(SweepRunner &runner,
 
     return runner.runIsolated(
         jobs.size(),
-        [&jobs, &daemon](std::size_t i, const CancelToken &cancel) {
-            return daemon.execute(jobs[i], i, cancel);
+        [&jobs, &daemons](std::size_t i, const CancelToken &cancel) {
+            return daemons.execute(jobs[i], i, cancel);
         },
         labels, fingerprints, opts);
 }

@@ -19,7 +19,9 @@
  * frames and daemon restarts (reconnect and resubmit, bounded),
  * client-side watchdog/shutdown cancellation (Cancel frame, then the
  * daemon's structured JobFailed is rethrown as the matching Error
- * subclass).
+ * subclass). With a server= list of several daemons, a daemon whose
+ * connection drops (or that leaves a cancel unconfirmed) is marked
+ * down and its jobs fail over to the next live daemon instead.
  */
 
 #ifndef MANNA_HARNESS_CLIENT_HH
@@ -34,15 +36,19 @@ namespace manna::harness::client
 {
 
 /** The MANNA_SERVER environment twin of the server= knob ("" when
- * unset — sweeps run in-process). */
+ * unset — sweeps run in-process). Like server=, it may list several
+ * comma-separated daemon addresses. */
 std::string defaultServerAddress();
 
 /**
- * Run @p jobs through the daemon at opts.server. Outcomes come back
- * in submission order with the same semantics as runChecked().
- * Throws ConfigError for a malformed address; daemon unavailability
- * surfaces per-job as IoError outcomes (after bounded reconnects),
- * never as a crash.
+ * Run @p jobs through the daemon(s) at opts.server, a comma-separated
+ * address list. Job i goes first to daemon i mod N; a lost daemon is
+ * marked down and its jobs resubmitted at once to the next live one
+ * (within the same attempt), and a job lost on two daemons fails as
+ * poisoned. Outcomes come back in submission order with the same
+ * semantics as runChecked(). Throws ConfigError for a malformed
+ * address; daemon unavailability surfaces per-job as IoError
+ * outcomes (after bounded reconnects or failovers), never as a crash.
  */
 SweepReport runServerSweep(SweepRunner &runner,
                            const std::vector<SweepJob> &jobs,

@@ -129,11 +129,10 @@ loadJournal(const std::string &path,
 
 /**
  * Load and merge several journals (later files win on duplicate
- * fingerprints; @p stats accumulates across files). The distributed
- * sweep harness uses this to seed a coordinator or worker from any
- * mix of partial per-shard journals — see docs/DISTRIBUTED.md. A
- * corrupt record never shadows a valid record of an earlier file:
- * it is skipped, not merged.
+ * fingerprints; @p stats accumulates across files): the
+ * comma-separated resume= list of a sweep or daemon. A corrupt
+ * record never shadows a valid record of an earlier file: it is
+ * skipped, not merged.
  */
 std::map<std::uint64_t, MannaResult>
 loadJournals(const std::vector<std::string> &paths,

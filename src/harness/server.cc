@@ -55,11 +55,10 @@ envInt(const char *name, std::int64_t def)
 } // namespace
 
 const char *const kServiceKnobs[] = {
-    "server",           "pool",    "queue_depth", "steal",
-    "clients",          "journal", "resume",      "stats",
-    "metrics",          "metrics_interval",       "events",
-    "events_limit",     "event_sync",             "cache_entries",
-    "faults",           "fault_seed",
+    "server",  "pool",          "queue_depth", "clients",
+    "journal", "resume",        "stats",       "metrics",
+    "metrics_interval",         "events",      "events_limit",
+    "cache_entries",            "faults",      "fault_seed",
 };
 const std::size_t kNumServiceKnobs =
     sizeof(kServiceKnobs) / sizeof(kServiceKnobs[0]);
@@ -77,8 +76,6 @@ serverOptionsFromConfig(const Config &cfg)
         std::max<std::int64_t>(
             1, cfg.getInt("queue_depth",
                           envInt("MANNA_QUEUE_DEPTH", 64))));
-    opts.steal =
-        cfg.getBool("steal", envInt("MANNA_STEAL", 1) != 0);
     opts.maxClients = static_cast<std::size_t>(
         std::max<std::int64_t>(
             1, cfg.getInt("clients", envInt("MANNA_CLIENTS", 16))));
@@ -253,7 +250,7 @@ Server::start()
 
     const std::size_t workers =
         im.opts.pool > 0 ? im.opts.pool : defaultJobs();
-    pool_ = std::make_unique<WorkerPool>(workers, im.opts.steal);
+    pool_ = std::make_unique<WorkerPool>(workers);
     pool_->start();
 
     {
@@ -272,10 +269,9 @@ Server::start()
     im.dispatchThread = std::thread([this] { dispatchLoop(); });
     if (!im.opts.metricsPath.empty())
         im.metricsThread = std::thread([this] { metricsLoop(); });
-    debugLog("mannad listening on %s (pool=%zu steal=%d "
-             "queue_depth=%zu clients=%zu)",
-             im.addr.describe().c_str(), workers,
-             im.opts.steal ? 1 : 0, im.opts.queueDepth,
+    debugLog("mannad listening on %s (pool=%zu queue_depth=%zu "
+             "clients=%zu)",
+             im.addr.describe().c_str(), workers, im.opts.queueDepth,
              im.opts.maxClients);
 }
 
@@ -757,6 +753,22 @@ Server::executeJob(std::shared_ptr<Conn> conn, Pending pending,
                    std::shared_ptr<CancelToken> token)
 {
     Impl &im = *impl_;
+    if (fault::anyArmed()) {
+        // Chaos sites at job pickup. server.crash takes the whole
+        // daemon down, like a kill -9 or an OOM kill; its clients
+        // see the connection drop. server.stall wedges this pool
+        // thread until the daemon stops: no reply, cancel ignored.
+        if (fault::shouldFire(fault::Site::ServerCrash)) {
+            warn("daemon crashing at job pickup (injected)");
+            std::abort();
+        }
+        if (fault::shouldFire(fault::Site::ServerStall)) {
+            warn("daemon job thread stalled (injected)");
+            std::unique_lock<std::mutex> lock(im.mu);
+            im.stopCv.wait(lock, [&im] { return im.stopping; });
+            return;
+        }
+    }
     MannaResult result;
     bool ok = false;
     ErrorKind errKind = ErrorKind::Sim;

@@ -67,9 +67,6 @@ struct ServerOptions
      * across all clients before submissions get RetryAfter. */
     std::size_t queueDepth = 64;
 
-    /** Work stealing between pool workers (steal=, default on). */
-    bool steal = true;
-
     /** Max concurrently connected clients; further connections are
      * rejected at the protocol level. */
     std::size_t maxClients = 16;
@@ -94,8 +91,8 @@ struct ServerOptions
     std::size_t cacheEntries = 0;
 };
 
-/** Parse the daemon knobs: server=, pool=, queue_depth=, steal=,
- * clients=, journal=, resume=, stats=, metrics=, metrics_interval=,
+/** Parse the daemon knobs: server=, pool=, queue_depth=, clients=,
+ * journal=, resume=, stats=, metrics=, metrics_interval=,
  * cache_entries= — with MANNA_* environment twins where the in-
  * process sweep has them — and arm the process-wide fault/event/
  * artifact-cache machinery exactly like sweepOptionsFromConfig. */

@@ -23,8 +23,7 @@ monotonicSeconds()
 
 } // namespace
 
-WorkerPool::WorkerPool(std::size_t workers, bool steal)
-    : steal_(steal)
+WorkerPool::WorkerPool(std::size_t workers)
 {
     if (workers == 0)
         workers = 1;
@@ -191,8 +190,7 @@ WorkerPool::workerLoop(std::size_t self)
             // Steal from the back of the largest non-empty queue —
             // the task its owner would reach last.
             std::size_t best = 0;
-            for (std::size_t i = 0; steal_ && i < workers_.size();
-                 ++i) {
+            for (std::size_t i = 0; i < workers_.size(); ++i) {
                 if (i == self)
                     continue;
                 if (workers_[i]->queue.size() > best) {

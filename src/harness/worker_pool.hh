@@ -49,10 +49,7 @@ class WorkerPool
         double timeoutSeconds = 0.0;
     };
 
-    /** @p steal=false disables work stealing (the steal= knob):
-     * idle workers then wait for their own queue, which serializes
-     * pinned workloads — useful for measuring what stealing buys. */
-    explicit WorkerPool(std::size_t workers, bool steal = true);
+    explicit WorkerPool(std::size_t workers);
     ~WorkerPool();
 
     WorkerPool(const WorkerPool &) = delete;
@@ -107,7 +104,6 @@ class WorkerPool
     std::vector<std::unique_ptr<WorkerState>> workers_;
     std::vector<std::thread> threads_;
     std::thread watchdog_;
-    const bool steal_;
     bool started_ = false;
     bool stopping_ = false;
     std::uint64_t steals_ = 0;

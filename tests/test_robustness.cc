@@ -505,35 +505,23 @@ TEST(FaultSpec, OnceEveryAndProbSemantics)
     EXPECT_EQ(fires, (std::vector<bool>{false, true, false, true}));
 
     // prob@ endpoints are exact; mid probabilities are deterministic
-    // functions of (seed, site, hit, scope).
+    // functions of (seed, site, hit).
     ASSERT_TRUE(fault::tryConfigure("proc.spawn:prob@0", 42));
     for (int i = 0; i < 16; ++i)
         EXPECT_FALSE(fault::shouldFire(fault::Site::ProcSpawn));
     ASSERT_TRUE(fault::tryConfigure("proc.spawn:prob@1", 42));
     for (int i = 0; i < 16; ++i)
         EXPECT_TRUE(fault::shouldFire(fault::Site::ProcSpawn));
-    ASSERT_TRUE(fault::tryConfigure("proc.spawn:prob@0.5", 42));
+    // Re-arming with the same seed restarts the hit counter, so the
+    // same 64 hits draw the same schedule.
     std::vector<bool> first, second;
-    for (std::uint64_t h = 1; h <= 64; ++h)
-        first.push_back(
-            fault::shouldFireAt(fault::Site::ProcSpawn, h, 7));
-    for (std::uint64_t h = 1; h <= 64; ++h)
-        second.push_back(
-            fault::shouldFireAt(fault::Site::ProcSpawn, h, 7));
+    ASSERT_TRUE(fault::tryConfigure("proc.spawn:prob@0.5", 42));
+    for (int i = 0; i < 64; ++i)
+        first.push_back(fault::shouldFire(fault::Site::ProcSpawn));
+    ASSERT_TRUE(fault::tryConfigure("proc.spawn:prob@0.5", 42));
+    for (int i = 0; i < 64; ++i)
+        second.push_back(fault::shouldFire(fault::Site::ProcSpawn));
     EXPECT_EQ(first, second);
-}
-
-TEST(FaultSpec, ShouldFireAtUsesTheCallerHitIndex)
-{
-    FaultGuard guard;
-    // once@1 with an explicit hit index means "dispatch round 0":
-    // every worker of round 0 fires, any later round does not —
-    // regardless of how often this process evaluated the site before.
-    ASSERT_TRUE(fault::tryConfigure("worker.crash:once@1", 1));
-    EXPECT_TRUE(fault::shouldFireAt(fault::Site::WorkerCrash, 1, 0));
-    EXPECT_TRUE(fault::shouldFireAt(fault::Site::WorkerCrash, 1, 5));
-    EXPECT_FALSE(fault::shouldFireAt(fault::Site::WorkerCrash, 2, 0));
-    EXPECT_FALSE(fault::shouldFireAt(fault::Site::WorkerCrash, 3, 5));
 }
 
 TEST(FaultSpec, MalformedSpecsAreRejectedWithoutDisarming)
@@ -774,7 +762,7 @@ TEST(Shutdown, InterruptedSweepFlushesJournalAndResumesExactly)
     std::remove(path.c_str());
 }
 
-TEST(FileIo, AtomicWriteTouchAndAgePrimitivesWork)
+TEST(FileIo, AtomicWriteAndAgePrimitivesWork)
 {
     const std::string path = tempPath("manna_atomic.txt");
     ASSERT_TRUE(writeFileAtomic(path, "first\n"));
@@ -786,16 +774,13 @@ TEST(FileIo, AtomicWriteTouchAndAgePrimitivesWork)
     // No temp file left behind next to the target.
     EXPECT_FALSE(fileExists(path + ".tmp"));
 
-    const std::string hb = tempPath("manna_touch.hb");
-    EXPECT_FALSE(fileAgeSeconds(hb).has_value());
-    ASSERT_TRUE(touchFile(hb));
-    ASSERT_TRUE(fileExists(hb));
-    const auto age = fileAgeSeconds(hb);
+    EXPECT_FALSE(
+        fileAgeSeconds(tempPath("manna_no_such_file")).has_value());
+    const auto age = fileAgeSeconds(path);
     ASSERT_TRUE(age.has_value());
     EXPECT_GE(*age, 0.0);
     EXPECT_LT(*age, 60.0);
     std::remove(path.c_str());
-    std::remove(hb.c_str());
 }
 
 /** Open fds of this process, from /proc/self/fd. */
@@ -817,9 +802,8 @@ countOpenFds()
 
 TEST(Subprocess, SpawnFailurePathsLeakNoFds)
 {
-    // A shard coordinator spawns workers in a loop for hours; a
-    // leaked errno-pipe end per failed spawn would exhaust the fd
-    // table. Exercise every failure path many times and require the
+    // A caller spawning processes in a loop for hours would exhaust
+    // the fd table with one leaked errno-pipe end per failed spawn. Exercise every failure path many times and require the
     // process fd count to come back to its baseline.
     const std::size_t baseline = countOpenFds();
 

@@ -5,21 +5,27 @@
  * persistent work-stealing pool (harness/worker_pool.*), and the
  * daemon + client pair (harness/server.*, harness/client.*).
  *
- * The headline invariant mirrors the shard layer's: routing a sweep
- * through a daemon must not change what it produces. Every e2e test
- * compares hexfloat-exact encodeResult() payloads between an
- * in-process runChecked() and the same jobs through a live Server on
- * a Unix socket — including under an injected worker crash and a torn
- * result frame.
+ * The headline invariant: routing a sweep through one daemon or a
+ * server= list of several must not change what it produces. Every
+ * e2e test compares hexfloat-exact encodeResult() payloads between an
+ * in-process runChecked() and the same jobs through live daemons on
+ * Unix sockets — including under an injected pool-worker crash, a
+ * torn result frame, and daemons that abort or stall mid-sweep. The
+ * abort and stall tests spawn real mannad processes (an abort takes
+ * the whole process down); the rest run Servers in-process.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <thread>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "arch/manna_config.hh"
@@ -28,8 +34,10 @@
 #include "common/fault.hh"
 #include "common/net.hh"
 #include "common/strutil.hh"
+#include "common/subprocess.hh"
 #include "harness/client.hh"
 #include "harness/journal.hh"
+#include "harness/observe.hh"
 #include "harness/proto.hh"
 #include "harness/server.hh"
 #include "harness/sweep.hh"
@@ -94,6 +102,80 @@ class ScopedServer
   private:
     server::Server server_;
 };
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+}
+
+/** RAII mannad child process on a private Unix socket, for the
+ * faults that abort or wedge the whole daemon. */
+class SpawnedDaemon
+{
+  public:
+    explicit SpawnedDaemon(const std::string &faults = "")
+        : address_("unix:" + uniqueSocketPath()),
+          errPath_(uniqueSocketPath() + ".err")
+    {
+        // An injected abort must not leave a core file behind.
+        const struct rlimit noCore = {0, 0};
+        ::setrlimit(RLIMIT_CORE, &noCore);
+        std::vector<std::string> argv{MANNA_MANNAD_PATH,
+                                      "server=" + address_, "pool=2"};
+        if (!faults.empty())
+            argv.push_back("faults=" + faults);
+        pid_ = spawnProcess(argv, "/dev/null", errPath_);
+        EXPECT_GT(pid_, 0);
+        std::string err;
+        for (int i = 0; i < 100 && !client::pingServer(address_, &err);
+             ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        EXPECT_TRUE(client::pingServer(address_, &err)) << err;
+    }
+
+    ~SpawnedDaemon()
+    {
+        status();
+        std::remove(address_.substr(5).c_str());
+        std::remove(errPath_.c_str());
+    }
+
+    const std::string &address() const { return address_; }
+
+    /** Stop the daemon if still running and return how it ended. */
+    ProcessStatus
+    status()
+    {
+        if (pid_ > 0) {
+            killProcess(pid_, SIGTERM);
+            status_ = waitProcess(pid_);
+            pid_ = -1;
+        }
+        return status_;
+    }
+
+    std::string stderrText() const { return readFile(errPath_); }
+
+  private:
+    std::string address_;
+    std::string errPath_;
+    pid_t pid_ = -1;
+    ProcessStatus status_;
+};
+
+/** The deterministic prefix of a stats/bench_json document: the
+ * content up to its wall-clock section. */
+std::string
+deterministicPrefix(const std::string &doc, const char *wallKey)
+{
+    const auto pos = doc.find(wallKey);
+    EXPECT_NE(pos, std::string::npos) << doc;
+    return doc.substr(0, pos);
+}
 
 // -- address parsing ---------------------------------------------------
 
@@ -301,25 +383,6 @@ TEST(WorkerPool, IdleWorkersStealPinnedBacklog)
     pool.stop();
 }
 
-TEST(WorkerPool, StealKnobOffKeepsPinnedWorkLocal)
-{
-    WorkerPool pool(3, /*steal=*/false);
-    pool.start();
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 16; ++i)
-        pool.submitTo(0, {[&] {
-                              std::this_thread::sleep_for(
-                                  std::chrono::milliseconds(1));
-                              ran.fetch_add(1);
-                          },
-                          nullptr, 0.0});
-    pool.drain();
-    EXPECT_EQ(ran.load(), 16);
-    EXPECT_EQ(pool.steals(), 0u);
-    EXPECT_EQ(pool.executedBy(0), 16u);
-    pool.stop();
-}
-
 TEST(WorkerPool, InjectedCrashRequeuesTheTask)
 {
     fault::configure(
@@ -373,14 +436,12 @@ TEST(ServerOptions, ParsedFromConfigKnobs)
     cfg.set("server", "unix:/tmp/svc.sock");
     cfg.set("pool", "3");
     cfg.set("queue_depth", "17");
-    cfg.set("steal", "0");
     cfg.set("clients", "5");
     cfg.set("metrics_interval", "0.25");
     const server::ServerOptions o = server::serverOptionsFromConfig(cfg);
     EXPECT_EQ(o.address, "unix:/tmp/svc.sock");
     EXPECT_EQ(o.pool, 3u);
     EXPECT_EQ(o.queueDepth, 17u);
-    EXPECT_FALSE(o.steal);
     EXPECT_EQ(o.maxClients, 5u);
     EXPECT_DOUBLE_EQ(o.metricsIntervalSeconds, 0.25);
 }
@@ -565,6 +626,221 @@ TEST(Service, ControlPlanePingStatsShutdown)
     EXPECT_FALSE(
         client::pingServer("unix:/tmp/manna-svc-nowhere.sock", &err));
     EXPECT_FALSE(err.empty());
+}
+
+// -- several daemons (server=A,B,C) ------------------------------------
+
+TEST(DaemonList, OneAndThreeDaemonsMatchInProcessByteForByte)
+{
+    const auto jobs = miniSweep();
+    SweepRunner runner(2);
+    const SweepReport plain = runner.runChecked(jobs, SweepOptions{});
+
+    server::ServerOptions sopts;
+    sopts.pool = 2;
+    sopts.address = uniqueSocketPath();
+    ScopedServer solo(sopts);
+    sopts.address = uniqueSocketPath();
+    ScopedServer a(sopts);
+    sopts.address = uniqueSocketPath();
+    ScopedServer b(sopts);
+    sopts.address = uniqueSocketPath();
+    ScopedServer c(sopts);
+
+    SweepOptions opts;
+    opts.server = solo->boundAddress();
+    const SweepReport one = runner.runChecked(jobs, opts);
+    opts.server = a->boundAddress() + "," + b->boundAddress() + "," +
+                  c->boundAddress();
+    const SweepReport three = runner.runChecked(jobs, opts);
+
+    EXPECT_EQ(outcomeFingerprints(plain), outcomeFingerprints(one));
+    EXPECT_EQ(outcomeFingerprints(plain), outcomeFingerprints(three));
+    // Job i goes to daemon i mod 3: six jobs, two each.
+    EXPECT_EQ(a->completedJobs(), 2u);
+    EXPECT_EQ(b->completedJobs(), 2u);
+    EXPECT_EQ(c->completedJobs(), 2u);
+}
+
+TEST(DaemonList, CrashedDaemonsJobsMoveToTheNextLiveDaemon)
+{
+    const auto jobs = miniSweep();
+    SweepRunner runner(2);
+    const SweepReport plain = runner.runChecked(jobs, SweepOptions{});
+
+    // A aborts on its first job pickup, like a kill -9 or OOM kill.
+    SpawnedDaemon a("server.crash:once@1");
+    server::ServerOptions sopts;
+    sopts.address = uniqueSocketPath();
+    sopts.pool = 2;
+    ScopedServer b(sopts);
+
+    SweepOptions opts;
+    opts.retries = 0;
+    opts.server = a.address() + "," + b->boundAddress();
+    testing::internal::CaptureStderr();
+    const SweepReport report = runner.runChecked(jobs, opts);
+    const std::string err = testing::internal::GetCapturedStderr();
+
+    EXPECT_EQ(outcomeFingerprints(plain), outcomeFingerprints(report));
+    // Failover happens inside the attempt: no retry was spent, and
+    // the 10 s reconnect budget was not waited out.
+    for (const JobOutcome &o : report.outcomes)
+        EXPECT_EQ(o.attempts, 1u);
+    EXPECT_LT(report.wallSeconds, 5.0);
+    EXPECT_EQ(b->completedJobs(), jobs.size());
+    EXPECT_NE(err.find("resubmitting it to the next live daemon"),
+              std::string::npos)
+        << err;
+    const ProcessStatus st = a.status();
+    EXPECT_TRUE(st.signaled && st.signal == SIGABRT);
+}
+
+TEST(DaemonList, PartialCrashKeepsJournaledResults)
+{
+    const auto jobs = miniSweep();
+    SweepRunner runner(1);
+    const SweepReport plain = runner.runChecked(jobs, SweepOptions{});
+
+    // A answers its first job, then aborts on the next pickup.
+    SpawnedDaemon a("server.crash:once@2");
+    server::ServerOptions sopts;
+    sopts.address = uniqueSocketPath();
+    sopts.pool = 2;
+    ScopedServer b(sopts);
+
+    const std::string journal = uniqueSocketPath() + ".journal";
+    SweepOptions opts;
+    opts.server = a.address() + "," + b->boundAddress();
+    opts.journalPath = journal;
+    const SweepReport report = runner.runChecked(jobs, opts);
+    EXPECT_EQ(outcomeFingerprints(plain), outcomeFingerprints(report));
+    EXPECT_TRUE(a.status().signaled);
+    EXPECT_EQ(b->completedJobs(), jobs.size() - 1);
+
+    // Every completed job is journaled exactly once.
+    JournalLoadStats stats;
+    const auto restored = loadJournal(journal, &stats);
+    EXPECT_EQ(stats.records, jobs.size());
+    EXPECT_EQ(stats.corruptRecords, 0u);
+    EXPECT_EQ(restored.size(), jobs.size());
+
+    SweepOptions resume;
+    resume.resumeFrom = journal;
+    const SweepReport resumed = runner.runChecked(jobs, resume);
+    EXPECT_EQ(outcomeFingerprints(plain),
+              outcomeFingerprints(resumed));
+    for (const JobOutcome &o : resumed.outcomes)
+        EXPECT_TRUE(o.fromJournal);
+    std::remove(journal.c_str());
+}
+
+TEST(DaemonList, StatsAndBenchJsonMatchInProcess)
+{
+    const auto jobs = miniSweep();
+    SweepRunner runner(2);
+    const SweepReport plain = runner.runChecked(jobs, SweepOptions{});
+
+    server::ServerOptions sopts;
+    sopts.pool = 2;
+    sopts.address = uniqueSocketPath();
+    ScopedServer a(sopts);
+    sopts.address = uniqueSocketPath();
+    ScopedServer b(sopts);
+    sopts.address = uniqueSocketPath();
+    ScopedServer c(sopts);
+    SweepOptions opts;
+    opts.server = a->boundAddress() + "," + b->boundAddress() + "," +
+                  c->boundAddress();
+    const SweepReport three = runner.runChecked(jobs, opts);
+
+    // Deterministic sections (job tallies + counters) match exactly;
+    // the trailing wall-clock sections differ.
+    EXPECT_EQ(deterministicPrefix(renderSweepStats(plain),
+                                  "\"throughput\""),
+              deterministicPrefix(renderSweepStats(three),
+                                  "\"throughput\""));
+    EXPECT_EQ(deterministicPrefix(renderBenchJson("mini", plain),
+                                  "\"wall\""),
+              deterministicPrefix(renderBenchJson("mini", three),
+                                  "\"wall\""));
+}
+
+TEST(DaemonList, StalledDaemonIsMarkedDownAndTheRetryMovesOn)
+{
+    const auto jobs = miniSweep();
+    SweepRunner runner(2);
+    const SweepReport plain = runner.runChecked(jobs, SweepOptions{});
+
+    // A's first job wedges its pool thread: no reply, cancel ignored.
+    SpawnedDaemon a("server.stall:once@1");
+    server::ServerOptions sopts;
+    sopts.address = uniqueSocketPath();
+    sopts.pool = 2;
+    ScopedServer b(sopts);
+
+    SweepOptions opts;
+    opts.server = a.address() + "," + b->boundAddress();
+    opts.timeoutSeconds = 1.0;
+    opts.retries = 1;
+    testing::internal::CaptureStderr();
+    const SweepReport report = runner.runChecked(jobs, opts);
+    const std::string err = testing::internal::GetCapturedStderr();
+
+    EXPECT_EQ(outcomeFingerprints(plain), outcomeFingerprints(report));
+    EXPECT_EQ(report.watchdogCancellations, 1u);
+    EXPECT_EQ(report.outcomes[0].attempts, 2u);
+    EXPECT_NE(err.find("did not confirm a cancel in time; marking it "
+                       "down"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(a.stderrText().find("stalled (injected)"),
+              std::string::npos);
+}
+
+TEST(DaemonList, JobLostOnTwoDaemonsIsPoisoned)
+{
+    const auto jobs = miniSweep();
+    SweepRunner runner(1);
+    const SweepReport plain = runner.runChecked(jobs, SweepOptions{});
+
+    // Job 0 goes to A, which aborts; then to B, which aborts too.
+    SpawnedDaemon a("server.crash:once@1");
+    SpawnedDaemon b("server.crash:once@1");
+    server::ServerOptions sopts;
+    sopts.address = uniqueSocketPath();
+    sopts.pool = 2;
+    ScopedServer c(sopts);
+
+    SweepOptions opts;
+    opts.retries = 0;
+    opts.server =
+        a.address() + "," + b.address() + "," + c->boundAddress();
+    testing::internal::CaptureStderr();
+    const SweepReport report = runner.runChecked(jobs, opts);
+    testing::internal::GetCapturedStderr();
+
+    const JobOutcome &poisoned = report.outcomes[0];
+    ASSERT_FALSE(poisoned.ok);
+    EXPECT_EQ(poisoned.error.kind, ErrorKind::Io);
+    EXPECT_NE(poisoned.error.message.find("poisoned"),
+              std::string::npos);
+    EXPECT_NE(poisoned.error.message.find(a.address().substr(5)),
+              std::string::npos)
+        << poisoned.error.message;
+    EXPECT_NE(poisoned.error.message.find(b.address().substr(5)),
+              std::string::npos)
+        << poisoned.error.message;
+    // Every other job was answered by C, bit-exactly.
+    const auto want = outcomeFingerprints(plain);
+    const auto got = outcomeFingerprints(report);
+    for (std::size_t i = 1; i < jobs.size(); ++i)
+        EXPECT_EQ(want[i], got[i]) << i;
+    EXPECT_EQ(c->completedJobs(), jobs.size() - 1);
+    EXPECT_EQ(report.failures(), 1u);
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(finishSweep(report), 1); // the bench exits nonzero
+    testing::internal::GetCapturedStdout();
 }
 
 } // namespace
