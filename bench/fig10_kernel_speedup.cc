@@ -8,8 +8,8 @@
  * for the largest benchmarks once the GPU is fully utilized; the
  * head kernels sit between the two extremes.
  *
- * Knobs: steps=, jobs=, bench=<name> (single-benchmark filter), plus
- * the robustness knobs retries=/timeout=/journal=/resume= (see
+ * Knobs: steps=, jobs=, bench=<name> (single-benchmark filter),
+ * fidelity=cycle|fast, plus the robustness knobs retries=/timeout=/journal=/resume= (see
  * docs/ROBUSTNESS.md). Failed simulation points render as FAILED
  * cells and make the binary exit nonzero after the full table.
  */
@@ -37,6 +37,7 @@ main(int argc, char **argv)
     const std::string only = cfg.getString("bench", "");
     const harness::SweepOptions opts =
         harness::sweepOptionsFromConfig(cfg);
+    const sim::Fidelity fidelity = harness::fidelityFromConfig(cfg);
 
     harness::printBanner("Figure 10",
                          "Kernel-specific inference performance vs "
@@ -51,7 +52,7 @@ main(int argc, char **argv)
 
     std::vector<harness::SweepJob> sweep;
     for (const auto &bench : suite)
-        sweep.push_back({bench, manna, steps, /*seed=*/1});
+        sweep.push_back({bench, manna, steps, /*seed=*/1, fidelity});
 
     harness::SweepRunner runner(jobs);
     const auto report = runner.runChecked(sweep, opts);

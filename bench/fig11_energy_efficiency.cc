@@ -7,8 +7,8 @@
  * 1080-Ti and an average of 86x over the 2080-Ti, driven by both the
  * speedup and Manna's order-of-magnitude lower power.
  *
- * Knobs: steps=, jobs=, bench=<name> (single-benchmark filter), plus
- * the robustness knobs retries=/timeout=/journal=/resume= (see
+ * Knobs: steps=, jobs=, bench=<name> (single-benchmark filter),
+ * fidelity=cycle|fast, plus the robustness knobs retries=/timeout=/journal=/resume= (see
  * docs/ROBUSTNESS.md). Failed simulation points render as FAILED
  * cells and make the binary exit nonzero after the full table.
  */
@@ -36,6 +36,7 @@ main(int argc, char **argv)
     const std::string only = cfg.getString("bench", "");
     const harness::SweepOptions opts =
         harness::sweepOptionsFromConfig(cfg);
+    const sim::Fidelity fidelity = harness::fidelityFromConfig(cfg);
 
     harness::printBanner("Figure 11",
                          "Energy efficiency compared to GPU baselines "
@@ -50,7 +51,7 @@ main(int argc, char **argv)
 
     std::vector<harness::SweepJob> sweep;
     for (const auto &bench : suite)
-        sweep.push_back({bench, manna, steps, /*seed=*/1});
+        sweep.push_back({bench, manna, steps, /*seed=*/1, fidelity});
 
     harness::SweepRunner runner(jobs);
     const auto report = runner.runChecked(sweep, opts);

@@ -9,6 +9,10 @@
  * MemHeavy, and 2.3x / 1.8x faster than the transpose-only and
  * eMAC-only variants respectively; the discussion attributes ~2.8x
  * to element-wise support and ~1.4x to on-chip transpose.
+ *
+ * Knobs: steps=, jobs=, bench=<name> (single-benchmark filter),
+ * fidelity=cycle|fast, plus the sweep robustness knobs (see
+ * docs/ROBUSTNESS.md).
  */
 
 #include <cstdio>
@@ -35,6 +39,7 @@ main(int argc, char **argv)
     const std::string only = cfg.getString("bench", "");
     const harness::SweepOptions opts =
         harness::sweepOptionsFromConfig(cfg);
+    const sim::Fidelity fidelity = harness::fidelityFromConfig(cfg);
 
     harness::printBanner("Figure 14",
                          "Impact of Manna's architectural features "
@@ -53,7 +58,8 @@ main(int argc, char **argv)
     std::vector<harness::SweepJob> sweep;
     for (const auto &bench : suite)
         for (const auto &variant : variants)
-            sweep.push_back({bench, variant.config, steps, /*seed=*/1});
+            sweep.push_back(
+                {bench, variant.config, steps, /*seed=*/1, fidelity});
 
     harness::SweepRunner runner(jobs);
     const auto report = runner.runChecked(sweep, opts);

@@ -7,8 +7,8 @@
  * Paper headline: 11x-184x speedup over the 1080-Ti (average 39x);
  * average 24x over the 2080-Ti.
  *
- * Knobs: steps=, jobs=, bench=<name> (single-benchmark filter), plus
- * the robustness knobs retries=/timeout=/journal=/resume= (see
+ * Knobs: steps=, jobs=, bench=<name> (single-benchmark filter),
+ * fidelity=cycle|fast, plus the robustness knobs retries=/timeout=/journal=/resume= (see
  * docs/ROBUSTNESS.md). Failed simulation points render as FAILED
  * cells and make the binary exit nonzero after the full table.
  */
@@ -36,6 +36,7 @@ main(int argc, char **argv)
     const std::string only = cfg.getString("bench", "");
     const harness::SweepOptions opts =
         harness::sweepOptionsFromConfig(cfg);
+    const sim::Fidelity fidelity = harness::fidelityFromConfig(cfg);
     const arch::MannaConfig manna = arch::MannaConfig::baseline16();
 
     harness::printBanner("Figure 9",
@@ -48,7 +49,7 @@ main(int argc, char **argv)
 
     std::vector<harness::SweepJob> sweep;
     for (const auto &bench : suite)
-        sweep.push_back({bench, manna, steps, /*seed=*/1});
+        sweep.push_back({bench, manna, steps, /*seed=*/1, fidelity});
 
     harness::SweepRunner runner(jobs);
     const auto report = runner.runChecked(sweep, opts);

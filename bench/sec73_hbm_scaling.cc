@@ -11,10 +11,10 @@
  * 1080-Ti from ~122x to ~17x.
  *
  * Knobs: steps=, jobs=, bench=<name> (benchmark used for the energy
- * illustration, default "copy"), plus the robustness knobs
- * retries=/timeout=/journal=/resume= (see docs/ROBUSTNESS.md). A
- * failed simulation point renders as FAILED and makes the binary exit
- * nonzero.
+ * illustration, default "copy"), fidelity=cycle|fast, plus the
+ * robustness knobs retries=/timeout=/journal=/resume= (see
+ * docs/ROBUSTNESS.md). A failed simulation point renders as FAILED and
+ * makes the binary exit nonzero.
  */
 
 #include <cstdio>
@@ -40,6 +40,7 @@ main(int argc, char **argv)
     const std::string benchName = cfg.getString("bench", "copy");
     const harness::SweepOptions opts =
         harness::sweepOptionsFromConfig(cfg);
+    const sim::Fidelity fidelity = harness::fidelityFromConfig(cfg);
 
     harness::printBanner("Section 7.3",
                          "Scaling the differentiable memory with HBM");
@@ -84,7 +85,7 @@ main(int argc, char **argv)
     // same performance, higher power envelope).
     const auto &bench = workloads::benchmarkByName(benchName);
     std::vector<harness::SweepJob> sweep{
-        {bench, sramOnly, steps, /*seed=*/1}};
+        {bench, sramOnly, steps, /*seed=*/1, fidelity}};
     harness::SweepRunner runner(jobs);
     const auto report = runner.runChecked(sweep, opts);
 

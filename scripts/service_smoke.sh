@@ -14,8 +14,10 @@
 # stdout must match the in-process run and a one-daemon run, the
 # bench_json snapshots must match the in-process one exactly
 # (bench_compare.py --tol 0), the merged harness trace must hold one
-# trace pid per process (client + 3 daemons), and the client's
-# metrics series must be non-empty.
+# trace pid per process (client + 3 daemons) with each daemon's
+# server.conn and job.enqueue events, and the client's metrics series
+# must be non-empty. manna-submit's control commands act on the whole
+# list, and mannad refuses a list as its own listen address.
 #
 # Usage: service_smoke.sh <mannad> <manna-submit> <fig12 binary>
 set -u
@@ -180,6 +182,17 @@ for addr in "${addrs[@]}"; do
         complain "daemon $addr never became reachable"
 done
 three=$(IFS=,; echo "${addrs[*]}")
+"$submit" server="$three" ping > "$tmpdir/ping3.out" 2>&1 &&
+    [ "$(grep -c ': ok$' "$tmpdir/ping3.out")" -eq 3 ] ||
+    complain "list ping did not reach all three daemons"
+"$submit" server="$three,unix:$tmpdir/nowhere.sock" ping \
+    > /dev/null 2>&1 &&
+    complain "list ping succeeded with one daemon unreachable"
+timeout 10 "$mannad" server="$three" \
+    > /dev/null 2> "$tmpdir/listd.err" &&
+    complain "mannad accepted a server= list as its listen address"
+grep -q "ConfigError" "$tmpdir/listd.err" ||
+    complain "mannad did not reject the server= list with ConfigError"
 
 # shellcheck disable=SC2086
 "$bench" $list server="${addrs[0]}" bench_json="$tmpdir/one.json" \
@@ -200,9 +213,10 @@ for run in one three; do
 done
 
 # Tracing must not perturb output; the merged trace holds the client
-# plus each daemon's advertised event file (one trace pid each; the
-# daemons flush their spans in batches, so only the client's own
-# spans are certain to be in it yet).
+# plus each daemon's advertised event file (one trace pid each). The
+# client pings every daemon before merging and a daemon flushes its
+# event log before answering, so each daemon's connection span and
+# enqueue instants are in it.
 # shellcheck disable=SC2086
 "$bench" $list server="$three" events="$tmpdir/client.events" \
     harness_trace="$tmpdir/harness_trace.json" \
@@ -219,11 +233,20 @@ pids = {e["pid"] for e in doc["traceEvents"]}
 assert len(pids) == 4, f"expected 4 trace pids, got {sorted(pids)}"
 names = {e["name"] for e in doc["traceEvents"]}
 assert "sweep.run" in names and "job.run" in names, sorted(names)
+daemons = {e["pid"] for e in doc["traceEvents"]
+           if e["ph"] == "M" and e["args"]["name"].startswith("daemon")}
+assert len(daemons) == 3, f"expected 3 daemon pids, got {sorted(daemons)}"
+for pid in sorted(daemons):
+    got = {e["name"] for e in doc["traceEvents"] if e["pid"] == pid}
+    for want in ("server.conn", "job.enqueue"):
+        assert want in got, f"daemon pid {pid} lacks {want}: {sorted(got)}"
 EOF
 head -1 "$tmpdir/metrics.jsonl" | grep -q "manna-metrics-v1" ||
     complain "metrics series missing its manna-metrics-v1 header"
 [ "$(wc -l < "$tmpdir/metrics.jsonl")" -ge 2 ] ||
     complain "metrics series has no samples"
+"$submit" server="$three" shutdown > /dev/null 2>&1 ||
+    complain "list shutdown request failed"
 for pid in "${list_pids[@]}"; do
     kill "$pid" 2>/dev/null
     wait "$pid" 2>/dev/null

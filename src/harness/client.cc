@@ -218,6 +218,14 @@ class DaemonClient
 
     bool down() const { return down_.load(); }
 
+    /** True once this daemon's event file joined the trace merge. */
+    bool
+    eventsRegistered()
+    {
+        std::lock_guard<std::mutex> serial(connectMu_);
+        return eventsRegistered_;
+    }
+
     /** Take this daemon out of the rotation for the rest of the
      * sweep (idempotent; warns once). */
     void
@@ -526,6 +534,17 @@ class DaemonRing
         }
     }
 
+    /** Ping every daemon whose event file this sweep registered: a
+     * daemon flushes its event log before it answers, so the merged
+     * trace that follows the sweep holds its spans. */
+    void
+    flushDaemonEvents()
+    {
+        for (const auto &daemon : daemons_)
+            if (!daemon->down() && daemon->eventsRegistered())
+                pingServer(daemon->describe());
+    }
+
   private:
     bool
     anotherLive(std::size_t self) const
@@ -599,12 +618,14 @@ runServerSweep(SweepRunner &runner,
         fingerprints.push_back(job.fingerprint());
     }
 
-    return runner.runIsolated(
+    SweepReport report = runner.runIsolated(
         jobs.size(),
         [&jobs, &daemons](std::size_t i, const CancelToken &cancel) {
             return daemons.execute(jobs[i], i, cancel);
         },
         labels, fingerprints, opts);
+    daemons.flushDaemonEvents();
+    return report;
 }
 
 bool

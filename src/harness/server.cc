@@ -55,10 +55,10 @@ envInt(const char *name, std::int64_t def)
 } // namespace
 
 const char *const kServiceKnobs[] = {
-    "server",  "pool",          "queue_depth", "clients",
-    "journal", "resume",        "stats",       "metrics",
-    "metrics_interval",         "events",      "events_limit",
-    "cache_entries",            "faults",      "fault_seed",
+    "server",  "pool",          "queue_depth",   "clients",
+    "stats",   "metrics",       "metrics_interval",
+    "events",  "events_limit",  "cache_entries",
+    "faults",  "fault_seed",
 };
 const std::size_t kNumServiceKnobs =
     sizeof(kServiceKnobs) / sizeof(kServiceKnobs[0]);
@@ -70,6 +70,12 @@ serverOptionsFromConfig(const Config &cfg)
     const char *envServer = std::getenv("MANNA_SERVER");
     opts.address =
         cfg.getString("server", envServer ? envServer : "");
+    // Clients take a daemon list; a daemon listens on one address.
+    if (opts.address.find(',') != std::string::npos)
+        throw ConfigError(strformat(
+            "mannad listens on one address, not the list '%s' "
+            "(server= or MANNA_SERVER)",
+            opts.address.c_str()));
     opts.pool = static_cast<std::size_t>(std::max<std::int64_t>(
         0, cfg.getInt("pool", envInt("MANNA_POOL", 0))));
     opts.queueDepth = static_cast<std::size_t>(
@@ -79,11 +85,6 @@ serverOptionsFromConfig(const Config &cfg)
     opts.maxClients = static_cast<std::size_t>(
         std::max<std::int64_t>(
             1, cfg.getInt("clients", envInt("MANNA_CLIENTS", 16))));
-    opts.journalPath = cfg.getString("journal", "");
-    opts.resumeFrom = cfg.getString("resume", "");
-    if (opts.journalPath.empty() && !opts.resumeFrom.empty() &&
-        opts.resumeFrom.find(',') == std::string::npos)
-        opts.journalPath = opts.resumeFrom;
     opts.statsPath = cfg.getString("stats", "");
     opts.metricsPath = cfg.getString("metrics", "");
     opts.metricsIntervalSeconds =
@@ -167,11 +168,15 @@ struct Server::Impl
     std::uint64_t failed = 0;
     std::uint64_t cancelled = 0;
     std::uint64_t retryAfter = 0;
+    /** Result-cache hits, reported under the stats key
+     * journal_hits. */
     std::uint64_t journalHits = 0;
     std::map<std::string, std::uint64_t> perClientDispatched;
 
-    std::map<std::uint64_t, MannaResult> restored;
-    std::unique_ptr<SweepJournal> journal;
+    /** Every result this daemon computed, keyed by job fingerprint,
+     * so a resubmitted job is answered without re-running. In memory
+     * only and unbounded: it lives as long as the daemon. */
+    std::map<std::uint64_t, MannaResult> resultCache;
     Clock::time_point startTime;
     std::uint64_t runSpanId = 0;
 
@@ -232,19 +237,6 @@ Server::start()
         throw ConfigError("mannad needs server=ADDR to listen on");
     im.addr = net::parseAddress(im.opts.address);
     im.listenFd = net::listenOn(im.addr);
-
-    JournalLoadStats journalStats;
-    if (!im.opts.resumeFrom.empty()) {
-        im.restored = loadJournals(
-            splitJournalList(im.opts.resumeFrom), &journalStats);
-        if (journalStats.corruptRecords > 0)
-            warn("daemon resume journals contained %zu corrupt "
-                 "record(s); the affected jobs will re-run",
-                 journalStats.corruptRecords);
-    }
-    if (!im.opts.journalPath.empty())
-        im.journal = std::make_unique<SweepJournal>(
-            im.opts.journalPath, 8);
 
     compiler::setCompileCacheCapacity(im.opts.cacheEntries);
 
@@ -309,13 +301,6 @@ Server::stop()
         pool_->stop();
     if (im.metricsThread.joinable())
         im.metricsThread.join();
-    if (im.journal) {
-        try {
-            im.journal->sync();
-        } catch (const Error &e) {
-            warn("%s", e.what());
-        }
-    }
     if (!im.opts.statsPath.empty() &&
         !writeFileAtomic(im.opts.statsPath, statsJson()))
         warn("cannot write daemon stats to '%s'",
@@ -487,6 +472,9 @@ Server::readerLoop(std::shared_ptr<Conn> conn)
             handleCancel(conn, frame.payload);
             break;
           case proto::MsgType::Ping:
+            // Write out buffered events first: a client pings before
+            // it merges this daemon's event file into its trace.
+            events::EventLog::instance().flush();
             im.send(*conn, proto::MsgType::Pong, "");
             break;
           case proto::MsgType::Stats:
@@ -605,13 +593,13 @@ Server::handleSubmit(const std::shared_ptr<Conn> &conn,
         return;
     }
 
-    // Daemon journal: a fingerprint already computed (this run or a
-    // resumed one) answers immediately, bit-exactly.
+    // Result cache: a fingerprint this daemon already computed
+    // answers immediately, bit-exactly.
     const std::uint64_t fp = job->fingerprint();
     {
         std::lock_guard<std::mutex> lock(im.mu);
-        const auto it = im.restored.find(fp);
-        if (it != im.restored.end()) {
+        const auto it = im.resultCache.find(fp);
+        if (it != im.resultCache.end()) {
             ++im.journalHits;
             std::string result =
                 strformat("id %llu result ",
@@ -728,14 +716,11 @@ Server::dispatchLoop()
                 ++im.perClientDispatched[conn->name];
                 dispatched = true;
                 lock.unlock();
-                WorkerPool::Task task;
-                task.cancel = token;
-                task.run = [this, conn, token,
-                            pending = std::make_shared<Pending>(
-                                std::move(pending))]() mutable {
+                pool_->submit([this, conn, token,
+                               pending = std::make_shared<Pending>(
+                                   std::move(pending))]() mutable {
                     executeJob(conn, std::move(*pending), token);
-                };
-                pool_->submit(std::move(task));
+                });
                 lock.lock();
             }
             if (conn->queue.empty())
@@ -796,20 +781,12 @@ Server::executeJob(std::shared_ptr<Conn> conn, Pending pending,
         --im.inFlightTotal;
         if (ok) {
             ++im.completed;
-            im.restored.emplace(pending.job.fingerprint(), result);
+            im.resultCache.emplace(pending.job.fingerprint(), result);
         } else if (!token->cancelled()) {
             // A cancelled token means Cancel or a client disconnect
             // got here first; both already counted the job as
             // cancelled, and a cancellation is not a failure.
             ++im.failed;
-        }
-    }
-    if (ok && im.journal) {
-        try {
-            im.journal->append(pending.job.fingerprint(), result);
-        } catch (const Error &e) {
-            warn("%s", e.what());
-            im.journal.reset();
         }
     }
     if (ok) {
@@ -918,7 +895,7 @@ Server::statsJson() const
             "\"completed\": %llu, \"failed\": %llu, "
             "\"cancelled\": %llu, \"retry_after\": %llu, "
             "\"journal_hits\": %llu, \"steals\": %llu, "
-            "\"restarts\": %llu, \"watchdog_cancelled\": %llu},\n",
+            "\"restarts\": %llu},\n",
             static_cast<unsigned long long>(im.accepted),
             static_cast<unsigned long long>(im.rejected),
             static_cast<unsigned long long>(im.submits),
@@ -930,9 +907,7 @@ Server::statsJson() const
             static_cast<unsigned long long>(
                 pool_ ? pool_->steals() : 0),
             static_cast<unsigned long long>(
-                pool_ ? pool_->restarts() : 0),
-            static_cast<unsigned long long>(
-                pool_ ? pool_->watchdogCancellations() : 0));
+                pool_ ? pool_->restarts() : 0));
         out += "  \"per_client\": {";
         bool first = true;
         for (const auto &entry : im.perClientDispatched) {

@@ -24,10 +24,11 @@
  * disconnects (crash, SIGTERM) has its queued jobs dropped and its
  * running jobs cancelled through their CancelTokens.
  *
- * An optional daemon-side journal (journal=/resume=) short-circuits
- * resubmitted fingerprints across daemon restarts; metrics= appends a
- * manna-daemon-metrics-v1 JSONL series and stats= writes the final
- * manna-daemon-stats-v1 snapshot (both in docs/FORMATS.md).
+ * An in-memory result cache answers a resubmitted fingerprint without
+ * re-running it (for the daemon's lifetime only; nothing is kept on
+ * disk); metrics= appends a manna-daemon-metrics-v1 JSONL series and
+ * stats= writes the final manna-daemon-stats-v1 snapshot (both in
+ * docs/FORMATS.md).
  */
 
 #ifndef MANNA_HARNESS_SERVER_HH
@@ -39,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cancel.hh"
 #include "common/net.hh"
 #include "harness/worker_pool.hh"
 
@@ -71,11 +73,6 @@ struct ServerOptions
      * rejected at the protocol level. */
     std::size_t maxClients = 16;
 
-    /** Daemon-side result journal ("" disables) and resume list —
-     * same semantics as the sweep knobs, keyed by job fingerprint. */
-    std::string journalPath;
-    std::string resumeFrom;
-
     /** Final manna-daemon-stats-v1 snapshot path ("" disables). */
     std::string statsPath;
 
@@ -92,10 +89,11 @@ struct ServerOptions
 };
 
 /** Parse the daemon knobs: server=, pool=, queue_depth=, clients=,
- * journal=, resume=, stats=, metrics=, metrics_interval=,
- * cache_entries= — with MANNA_* environment twins where the in-
- * process sweep has them — and arm the process-wide fault/event/
- * artifact-cache machinery exactly like sweepOptionsFromConfig. */
+ * stats=, metrics=, metrics_interval=, cache_entries= — with MANNA_*
+ * environment twins where the in-process sweep has them — and arm
+ * the process-wide fault/event/artifact-cache machinery exactly like
+ * sweepOptionsFromConfig. Throws ConfigError when server= (or
+ * MANNA_SERVER) is a comma-separated list. */
 ServerOptions serverOptionsFromConfig(const Config &cfg);
 
 class Server
@@ -133,7 +131,7 @@ class Server
     std::uint64_t failedJobs() const;
     std::uint64_t cancelledJobs() const;
     std::uint64_t retryAfterCount() const;
-    std::uint64_t journalHits() const;
+    std::uint64_t journalHits() const; ///< result-cache hits
     const WorkerPool &pool() const { return *pool_; }
 
   private:

@@ -121,85 +121,6 @@ defaultMetricsIntervalSeconds()
 }
 
 // ---------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------
-
-ThreadPool::ThreadPool(std::size_t threads)
-{
-    workers_.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stopping_ = true;
-    }
-    hasWork_.notify_all();
-    for (auto &w : workers_)
-        w.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    if (workers_.empty()) {
-        // Degenerate pool: run inline so submit()/wait() still work.
-        task();
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        queue_.push_back(std::move(task));
-        ++inFlight_;
-    }
-    hasWork_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    allDone_.wait(lock, [this] { return inFlight_ == 0; });
-}
-
-void
-ThreadPool::workerLoop()
-{
-    while (true) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            hasWork_.wait(lock, [this] {
-                return stopping_ || !queue_.empty();
-            });
-            if (queue_.empty())
-                return; // stopping_ and drained
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        // Pool tasks are fault-isolated wrappers that catch their own
-        // exceptions; a throw reaching here would leave inFlight_
-        // stuck and deadlock wait(), so fail loudly instead.
-        try {
-            task();
-        } catch (const std::exception &e) {
-            panic("sweep pool task threw (harness bug): %s", e.what());
-        } catch (...) {
-            panic("sweep pool task threw (harness bug)");
-        }
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --inFlight_;
-            if (inFlight_ == 0)
-                allDone_.notify_all();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // SweepJob
 // ---------------------------------------------------------------------
 
@@ -833,8 +754,10 @@ backoffMs(const SweepOptions &opts, std::size_t failedAttempts)
 SweepRunner::SweepRunner(std::size_t jobs)
     : jobs_(jobs == 0 ? defaultJobs() : jobs)
 {
-    if (jobs_ > 1)
-        pool_ = std::make_unique<ThreadPool>(jobs_);
+    if (jobs_ > 1) {
+        pool_ = std::make_unique<WorkerPool>(jobs_);
+        pool_->start();
+    }
 }
 
 SweepReport

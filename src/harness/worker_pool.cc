@@ -1,6 +1,6 @@
 #include "worker_pool.hh"
 
-#include <chrono>
+#include <exception>
 
 #include "common/event_log.hh"
 #include "common/fault.hh"
@@ -9,19 +9,6 @@
 
 namespace manna::harness
 {
-
-namespace
-{
-
-double
-monotonicSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-} // namespace
 
 WorkerPool::WorkerPool(std::size_t workers)
 {
@@ -48,7 +35,6 @@ WorkerPool::start()
     threads_.reserve(workers_.size());
     for (std::size_t i = 0; i < workers_.size(); ++i)
         threads_.emplace_back([this, i] { workerLoop(i); });
-    watchdog_ = std::thread([this] { watchdogLoop(); });
 }
 
 void
@@ -64,8 +50,6 @@ WorkerPool::stop()
     for (auto &t : threads_)
         t.join();
     threads_.clear();
-    if (watchdog_.joinable())
-        watchdog_.join();
     std::lock_guard<std::mutex> lock(mutex_);
     started_ = false;
 }
@@ -160,13 +144,6 @@ WorkerPool::completed() const
 }
 
 std::uint64_t
-WorkerPool::watchdogCancellations() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return watchdogCancellations_;
-}
-
-std::uint64_t
 WorkerPool::executedBy(std::size_t worker) const
 {
     MANNA_ASSERT(worker < workers_.size(), "bad pool worker index");
@@ -225,49 +202,28 @@ WorkerPool::workerLoop(std::size_t self)
             continue;
         }
         me.busy = true;
-        me.runningCancel = task.cancel;
-        me.runningDeadline =
-            (task.cancel && task.timeoutSeconds > 0.0)
-                ? monotonicSeconds() + task.timeoutSeconds
-                : 0.0;
-        me.cancelledByWatchdog = false;
         lock.unlock();
         if (stolen && events::enabled())
             events::instant("job.steal",
                             strformat("thief=%zu victim=%zu", self,
                                       victim));
-        task.run();
+        // Tasks catch their own failures at the job boundary; a throw
+        // reaching here would leave the worker busy and deadlock
+        // drain(), so fail loudly instead.
+        try {
+            task();
+        } catch (const std::exception &e) {
+            panic("pool task threw (harness bug): %s", e.what());
+        } catch (...) {
+            panic("pool task threw (harness bug)");
+        }
         lock.lock();
         me.busy = false;
-        me.runningCancel.reset();
-        me.runningDeadline = 0.0;
         me.executed += 1;
         completed_ += 1;
         idleCv_.notify_all();
         if (stopping_ && me.queue.empty())
             return;
-    }
-}
-
-void
-WorkerPool::watchdogLoop()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stopping_) {
-        const double now = monotonicSeconds();
-        for (auto &w : workers_) {
-            if (w->busy && w->runningCancel &&
-                w->runningDeadline > 0.0 &&
-                now >= w->runningDeadline &&
-                !w->cancelledByWatchdog) {
-                w->runningCancel->cancel();
-                w->cancelledByWatchdog = true;
-                ++watchdogCancellations_;
-            }
-        }
-        lock.unlock();
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        lock.lock();
     }
 }
 

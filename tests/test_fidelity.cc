@@ -5,16 +5,21 @@
  * on both chip models — which also exercises the step-replay tape,
  * the fused-row-update peephole, and the staging-elision pass — while
  * the extrapolated cycle counts stay within the 5% tolerance gate and
- * the report carries the same stats key set.
+ * the report carries the same stats key set. Every sweep bench must
+ * also honour the fidelity= knob.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/subprocess.hh"
 #include "compiler/compiler.hh"
 #include "compiler/dnc_codegen.hh"
 #include "sim/chip.hh"
@@ -187,6 +192,35 @@ TEST(Fidelity, ParseRoundTrip)
     EXPECT_STREQ(toString(Fidelity::Cycle), "cycle");
     EXPECT_STREQ(toString(Fidelity::Fast), "fast");
     EXPECT_EQ(parseFidelity(toString(Fidelity::Fast)), Fidelity::Fast);
+}
+
+TEST(Fidelity, EverySweepBenchHonoursTheKnob)
+{
+    // A fast run extrapolates the steps after calibration; a bench
+    // that dropped the knob would run them all cycle-accurately.
+    for (const char *bench :
+         {"tab2_benchmarks", "fig9_inference_performance",
+          "fig10_kernel_speedup", "fig11_energy_efficiency",
+          "fig12_strong_scaling", "fig13_weak_scaling", "fig14_ablation",
+          "sec73_hbm_scaling"}) {
+        SCOPED_TRACE(bench);
+        const std::string stats =
+            std::string("test_fidelity_") + bench + ".stats.json";
+        const pid_t pid = spawnProcess(
+            {std::string(MANNA_BENCH_DIR) + "/" + bench, "bench=copy",
+             "steps=4", "jobs=1", "fidelity=fast", "stats=" + stats},
+            "/dev/null", "/dev/null");
+        ASSERT_GT(pid, 0);
+        EXPECT_TRUE(waitProcess(pid).cleanExit(0));
+        std::ifstream in(stats);
+        std::stringstream text;
+        text << in.rdbuf();
+        const std::string key = "\"fidelity.extrapolated_steps\": ";
+        const auto pos = text.str().find(key);
+        ASSERT_NE(pos, std::string::npos) << text.str();
+        EXPECT_GT(std::stoul(text.str().substr(pos + key.size())), 0u);
+        std::remove(stats.c_str());
+    }
 }
 
 } // namespace

@@ -1132,7 +1132,9 @@ TEST(ServiceTrace, DaemonSpansLandInTheMergedHarnessTrace)
     EXPECT_EQ(runSpans, 1u);
     EXPECT_GE(accepts, 1u);
     EXPECT_GE(connSpans, 1u);
-    EXPECT_EQ(enqueues, jobs.size());
+    // Every job is enqueued twice: on the client's jobs=2 pool and
+    // on the daemon's (one WorkerPool type, one shared log here).
+    EXPECT_EQ(enqueues, 2 * jobs.size());
     // Distinct threads are distinct trace lanes: at least the client
     // sweep thread, the daemon accept thread, and the dispatch
     // thread emitted something.
@@ -1159,11 +1161,9 @@ TEST(ServiceTrace, StealInstantsNameThiefAndVictimWorkers)
         // Pin every task to worker 0: any progress on worker 1 is a
         // steal, and each one must be traced with thief and victim.
         for (int i = 0; i < 16; ++i)
-            pool.submitTo(0, {[] {
-                                  std::this_thread::sleep_for(
-                                      std::chrono::milliseconds(2));
-                              },
-                              nullptr, 0.0});
+            pool.submitTo(0, [] {
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            });
         pool.drain();
         EXPECT_GT(pool.steals(), 0u);
         pool.stop();

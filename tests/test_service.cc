@@ -117,7 +117,8 @@ readFile(const std::string &path)
 class SpawnedDaemon
 {
   public:
-    explicit SpawnedDaemon(const std::string &faults = "")
+    explicit SpawnedDaemon(const std::string &faults = "",
+                           const std::string &events = "")
         : address_("unix:" + uniqueSocketPath()),
           errPath_(uniqueSocketPath() + ".err")
     {
@@ -128,6 +129,8 @@ class SpawnedDaemon
                                       "server=" + address_, "pool=2"};
         if (!faults.empty())
             argv.push_back("faults=" + faults);
+        if (!events.empty())
+            argv.push_back("events=" + events);
         pid_ = spawnProcess(argv, "/dev/null", errPath_);
         EXPECT_GT(pid_, 0);
         std::string err;
@@ -349,7 +352,7 @@ TEST(WorkerPool, ExecutesEverythingAcrossWorkers)
     pool.start();
     std::atomic<int> ran{0};
     for (int i = 0; i < 100; ++i)
-        pool.submit({[&] { ran.fetch_add(1); }, nullptr, 0.0});
+        pool.submit([&] { ran.fetch_add(1); });
     pool.drain();
     EXPECT_EQ(ran.load(), 100);
     EXPECT_EQ(pool.completed(), 100u);
@@ -370,12 +373,10 @@ TEST(WorkerPool, IdleWorkersStealPinnedBacklog)
     // come from stealing. Make each task slow enough that worker 0
     // cannot drain its own queue before the thieves wake up.
     for (int i = 0; i < 24; ++i)
-        pool.submitTo(0, {[&] {
-                              std::this_thread::sleep_for(
-                                  std::chrono::milliseconds(2));
-                              ran.fetch_add(1);
-                          },
-                          nullptr, 0.0});
+        pool.submitTo(0, [&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            ran.fetch_add(1);
+        });
     pool.drain();
     EXPECT_EQ(ran.load(), 24);
     EXPECT_GT(pool.steals(), 0u);
@@ -393,7 +394,7 @@ TEST(WorkerPool, InjectedCrashRequeuesTheTask)
     pool.start();
     std::atomic<int> ran{0};
     for (int i = 0; i < 8; ++i)
-        pool.submit({[&] { ran.fetch_add(1); }, nullptr, 0.0});
+        pool.submit([&] { ran.fetch_add(1); });
     pool.drain();
     fault::reset();
     // The crashed pickup re-queued its task: nothing was lost, and
@@ -401,30 +402,6 @@ TEST(WorkerPool, InjectedCrashRequeuesTheTask)
     EXPECT_EQ(ran.load(), 8);
     EXPECT_EQ(pool.completed(), 8u);
     EXPECT_EQ(pool.restarts(), 1u);
-    pool.stop();
-}
-
-TEST(WorkerPool, WatchdogCancelsOverdueTask)
-{
-    WorkerPool pool(1);
-    pool.start();
-    auto token = std::make_shared<CancelToken>();
-    std::atomic<bool> sawCancel{false};
-    pool.submit({[&] {
-                     // Cooperative loop, like a simulation step loop.
-                     for (int i = 0; i < 4000; ++i) {
-                         if (token->cancelled()) {
-                             sawCancel.store(true);
-                             return;
-                         }
-                         std::this_thread::sleep_for(
-                             std::chrono::milliseconds(1));
-                     }
-                 },
-                 token, 0.15});
-    pool.drain();
-    EXPECT_TRUE(sawCancel.load());
-    EXPECT_EQ(pool.watchdogCancellations(), 1u);
     pool.stop();
 }
 
@@ -444,6 +421,19 @@ TEST(ServerOptions, ParsedFromConfigKnobs)
     EXPECT_EQ(o.queueDepth, 17u);
     EXPECT_EQ(o.maxClients, 5u);
     EXPECT_DOUBLE_EQ(o.metricsIntervalSeconds, 0.25);
+}
+
+TEST(ServerOptions, DaemonListIsAConfigError)
+{
+    // Clients take a server= list; a daemon listens on one address,
+    // so a list from either source is refused, not bound as a path.
+    Config cfg;
+    cfg.set("server", "unix:/tmp/a.sock,unix:/tmp/b.sock");
+    EXPECT_THROW(server::serverOptionsFromConfig(cfg), ConfigError);
+    ::setenv("MANNA_SERVER", "unix:/tmp/a.sock,unix:/tmp/b.sock", 1);
+    EXPECT_THROW(server::serverOptionsFromConfig(Config{}),
+                 ConfigError);
+    ::unsetenv("MANNA_SERVER");
 }
 
 TEST(ServerOptions, ServiceKnobTableIsNonEmptyAndUnique)
@@ -549,7 +539,9 @@ TEST(Service, AdmissionControlSendsRetryAfterAndStillCompletes)
 TEST(Service, InjectedWorkerCrashKeepsResultsIdentical)
 {
     const auto jobs = miniSweep();
-    SweepRunner runner(2);
+    // jobs=1 runs the client inline, so the armed pool site can only
+    // fire in the daemon's pool.
+    SweepRunner runner(1);
     const SweepReport plain = runner.runChecked(jobs, SweepOptions{});
 
     server::ServerOptions sopts;
@@ -841,6 +833,74 @@ TEST(DaemonList, JobLostOnTwoDaemonsIsPoisoned)
     testing::internal::CaptureStdout();
     EXPECT_EQ(finishSweep(report), 1); // the bench exits nonzero
     testing::internal::GetCapturedStdout();
+}
+
+TEST(DaemonList, DaemonEventsAreOnDiskWhenTheSweepReturns)
+{
+    // The client merges a daemon's event file right after the sweep;
+    // the daemon must have written its spans by then, not at its next
+    // batch flush or at shutdown.
+    const std::string events = uniqueSocketPath() + ".events";
+    {
+        SpawnedDaemon a("", events);
+        SweepRunner runner(1);
+        SweepOptions opts;
+        opts.server = a.address();
+        const SweepReport report = runner.runChecked(miniSweep(), opts);
+        EXPECT_TRUE(report.allOk());
+        const std::string text = readFile(events);
+        EXPECT_NE(text.find("\"server.conn\""), std::string::npos)
+            << text;
+        EXPECT_NE(text.find("\"job.enqueue\""), std::string::npos)
+            << text;
+    }
+    std::remove(events.c_str());
+}
+
+TEST(DaemonList, SubmitControlCommandsActOnEveryListedDaemon)
+{
+    server::ServerOptions sopts;
+    sopts.pool = 1;
+    sopts.address = uniqueSocketPath();
+    ScopedServer a(sopts);
+    sopts.address = uniqueSocketPath();
+    ScopedServer b(sopts);
+    const std::string both = a->boundAddress() + "," + b->boundAddress();
+    const std::string outPath = uniqueSocketPath() + ".out";
+    auto submit = [&outPath](const std::string &list,
+                             const char *command) {
+        std::remove(outPath.c_str()); // spawnProcess appends
+        const pid_t pid = spawnProcess(
+            {MANNA_SUBMIT_PATH, "server=" + list, command}, outPath,
+            "/dev/null");
+        EXPECT_GT(pid, 0);
+        return waitProcess(pid);
+    };
+
+    EXPECT_TRUE(submit(both, "ping").cleanExit(0));
+    const std::string pings = readFile(outPath);
+    EXPECT_NE(pings.find(a->boundAddress() + ": ok"), std::string::npos)
+        << pings;
+    EXPECT_NE(pings.find(b->boundAddress() + ": ok"), std::string::npos)
+        << pings;
+    // ping succeeds only when every listed daemon answers.
+    const ProcessStatus partial =
+        submit(both + ",unix:/tmp/manna-svc-nowhere.sock", "ping");
+    EXPECT_TRUE(partial.exited);
+    EXPECT_EQ(partial.exitCode, 1);
+
+    EXPECT_TRUE(submit(both, "stats").cleanExit(0));
+    const std::string stats = readFile(outPath);
+    EXPECT_NE(stats.find("manna-daemon-stats-v1"),
+              stats.rfind("manna-daemon-stats-v1"))
+        << "want one snapshot per daemon: " << stats;
+
+    EXPECT_TRUE(submit(both, "shutdown").cleanExit(0));
+    for (int i = 0; i < 100 && !(a->stopping() && b->stopping()); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_TRUE(a->stopping());
+    EXPECT_TRUE(b->stopping());
+    std::remove(outPath.c_str());
 }
 
 } // namespace

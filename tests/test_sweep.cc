@@ -12,8 +12,11 @@
 
 #include <cstdlib>
 
+#include "common/fault.hh"
+#include "common/strutil.hh"
 #include "compiler/compile_cache.hh"
 #include "compiler/compiler.hh"
+#include "harness/journal.hh"
 #include "harness/sweep.hh"
 #include "workloads/benchmarks.hh"
 
@@ -121,15 +124,32 @@ TEST(SweepRunner, DefaultJobsHonorsEnvironment)
     EXPECT_GE(defaultJobs(), 1u);
 }
 
-TEST(ThreadPool, RunsEverySubmittedTask)
+TEST(SweepRunner, InjectedPoolWorkerCrashRequeuesAndMatchesClean)
 {
-    ThreadPool pool(4);
-    std::vector<int> done(100, 0);
-    for (std::size_t i = 0; i < done.size(); ++i)
-        pool.submit([&done, i] { done[i] = 1; });
-    pool.wait();
-    for (int d : done)
-        EXPECT_EQ(d, 1);
+    // In-process sweeps run on the daemon's WorkerPool, so its crash
+    // site applies: the crashed pickup requeues the job, which then
+    // runs once, byte-identically.
+    const auto jobs = smallSweep(/*steps=*/2);
+    SweepRunner runner(4);
+    const SweepReport clean = runner.runChecked(jobs);
+    fault::configure(
+        strformat("%s:once@1",
+                  fault::siteName(fault::Site::PoolWorkerCrash)),
+        0);
+    const SweepReport crashed = runner.runChecked(jobs);
+    const std::uint64_t fired =
+        fault::fireCount(fault::Site::PoolWorkerCrash);
+    fault::reset();
+    EXPECT_EQ(fired, 1u);
+    ASSERT_EQ(crashed.outcomes.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(jobs[i].benchmark.name);
+        ASSERT_TRUE(clean.outcomes[i].ok);
+        ASSERT_TRUE(crashed.outcomes[i].ok);
+        EXPECT_EQ(crashed.outcomes[i].attempts, 1u);
+        EXPECT_EQ(encodeResult(clean.outcomes[i].value),
+                  encodeResult(crashed.outcomes[i].value));
+    }
 }
 
 TEST(CompileCache, HitReturnsIdenticalCompiledModel)

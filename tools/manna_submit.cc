@@ -4,9 +4,12 @@
  *
  * Two modes:
  *
- *  - control plane:
- *        manna-submit server=ADDR ping       liveness probe (exit 0/1)
- *        manna-submit server=ADDR stats      print the daemon's
+ *  - control plane, acting on every daemon of a comma-separated
+ *    server= list in turn:
+ *        manna-submit server=ADDR ping       liveness probe (exit 0
+ *                                            only if every daemon
+ *                                            answers)
+ *        manna-submit server=ADDR stats      print each daemon's
  *                                            manna-daemon-stats-v1 JSON
  *        manna-submit server=ADDR shutdown   graceful daemon shutdown
  *
@@ -31,6 +34,7 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/strutil.hh"
 #include "harness/client.hh"
 
 using namespace manna;
@@ -94,28 +98,35 @@ main(int argc, char **argv)
               std::strerror(errno));
     }
 
-    try {
-        if (command == "ping") {
-            std::string err;
-            if (client::pingServer(address, &err)) {
-                std::printf("%s: ok\n", address.c_str());
-                return 0;
+    // Every listed daemon gets the command, even after one fails.
+    int status = 0;
+    for (const std::string &part : split(address, ',')) {
+        const std::string daemon = trim(part);
+        if (daemon.empty())
+            continue;
+        try {
+            if (command == "ping") {
+                std::string err;
+                if (client::pingServer(daemon, &err)) {
+                    std::printf("%s: ok\n", daemon.c_str());
+                } else {
+                    std::fprintf(stderr, "%s: %s\n", daemon.c_str(),
+                                 err.c_str());
+                    status = 1;
+                }
+            } else if (command == "stats") {
+                std::printf("%s\n",
+                            client::fetchServerStats(daemon).c_str());
+            } else {
+                client::requestServerShutdown(daemon);
+                std::printf("%s: shutdown requested\n",
+                            daemon.c_str());
             }
-            std::fprintf(stderr, "%s: %s\n", address.c_str(),
-                         err.c_str());
-            return 1;
+        } catch (const Error &e) {
+            std::fprintf(stderr, "manna-submit: %s\n",
+                         e.describe().c_str());
+            status = 1;
         }
-        if (command == "stats") {
-            std::printf("%s\n",
-                        client::fetchServerStats(address).c_str());
-            return 0;
-        }
-        client::requestServerShutdown(address);
-        std::printf("%s: shutdown requested\n", address.c_str());
-        return 0;
-    } catch (const Error &e) {
-        std::fprintf(stderr, "manna-submit: %s\n",
-                     e.describe().c_str());
-        return 1;
     }
+    return status;
 }

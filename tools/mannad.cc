@@ -10,12 +10,10 @@
  *
  * Knobs (all also documented in docs/SERVICE.md):
  *   server=ADDR       listen endpoint: unix:/path or tcp:host:port
- *                     (required; MANNA_SERVER)
+ *                     (required, one address; MANNA_SERVER)
  *   pool=N            worker threads, 0 = hardware default
  *   queue_depth=N     backlog bound before RetryAfter (default 64)
  *   clients=N         max concurrent client connections (default 16)
- *   journal=PATH      daemon-side result journal
- *   resume=P1,P2      journals to preload (fingerprint cache)
  *   stats=PATH        final manna-daemon-stats-v1 snapshot
  *   metrics=PATH      manna-daemon-metrics-v1 JSONL series
  *   metrics_interval= sampling period in seconds (default 1)
@@ -25,8 +23,10 @@
  */
 
 #include <cstdio>
+#include <memory>
 
 #include "common/config.hh"
+#include "common/error.hh"
 #include "common/logging.hh"
 #include "common/shutdown.hh"
 #include "harness/server.hh"
@@ -38,26 +38,33 @@ int
 main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
-    server::ServerOptions opts = server::serverOptionsFromConfig(cfg);
-    if (opts.address.empty())
-        fatal("usage: mannad server=unix:/path|tcp:host:port "
-              "[pool=N] [queue_depth=N] [clients=N] "
-              "[journal=PATH] [resume=P1,P2] [stats=PATH] "
-              "[metrics=PATH] [events=PATH]");
-
-    installShutdownHandlers();
-    server::Server daemon(std::move(opts));
-    daemon.start();
+    // A bad knob (say, a server= list) or an address that cannot be
+    // bound exits with a one-line error, not an uncaught-exception
+    // abort.
+    std::unique_ptr<server::Server> daemon;
+    try {
+        server::ServerOptions opts =
+            server::serverOptionsFromConfig(cfg);
+        if (opts.address.empty())
+            fatal("usage: mannad server=unix:/path|tcp:host:port "
+                  "[pool=N] [queue_depth=N] [clients=N] [stats=PATH] "
+                  "[metrics=PATH] [events=PATH]");
+        installShutdownHandlers();
+        daemon = std::make_unique<server::Server>(std::move(opts));
+        daemon->start();
+    } catch (const Error &e) {
+        fatal("%s", e.describe().c_str());
+    }
     std::printf("mannad: listening on %s\n",
-                daemon.boundAddress().c_str());
+                daemon->boundAddress().c_str());
     std::fflush(stdout);
-    daemon.wait();
-    daemon.stop();
+    daemon->wait();
+    daemon->stop();
     std::printf("mannad: stopped (%llu jobs completed, %llu failed, "
                 "%llu cancelled)\n",
-                static_cast<unsigned long long>(daemon.completedJobs()),
-                static_cast<unsigned long long>(daemon.failedJobs()),
+                static_cast<unsigned long long>(daemon->completedJobs()),
+                static_cast<unsigned long long>(daemon->failedJobs()),
                 static_cast<unsigned long long>(
-                    daemon.cancelledJobs()));
+                    daemon->cancelledJobs()));
     return 0;
 }
