@@ -132,8 +132,7 @@ main(int argc, char **argv)
 
     if (traceOpts.enabled() && !sweep.empty())
         harness::writeChromeTrace(traceOpts, sweep[0].benchmark,
-                                  sweep[0].config, sweep[0].steps,
-                                  sweep[0].seed);
+                                  sweep[0].config, sweep[0].steps);
     // profile= re-runs the first benchmark at the paper's evaluated
     // 16-tile configuration (the Fig. 12 reference point).
     const harness::ProfileOptions profileOpts =

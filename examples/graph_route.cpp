@@ -39,7 +39,7 @@ main()
     std::printf("\n\n");
 
     // Run the shortest-path benchmark shape (Table 2: 3648x1400
-    // memory, 5 read heads) on Manna, driven by a graph episode.
+    // memory, 5 read heads) on Manna.
     const workloads::Benchmark &bench =
         workloads::benchmarkByName("short");
     std::printf("MANN shape (Table 2 'short'): %s\n\n",
@@ -47,7 +47,7 @@ main()
 
     const std::size_t steps = 8;
     const auto manna = harness::simulateManna(
-        bench, arch::MannaConfig::baseline16(), steps, 1863);
+        bench, arch::MannaConfig::baseline16(), steps);
     const auto gpu1080 =
         harness::evaluateBaseline(bench, harness::gpu1080Ti());
     const auto gpu2080 =

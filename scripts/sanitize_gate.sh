@@ -3,11 +3,13 @@
 # tests/CMakeLists.txt; SKIP_RETURN_CODE 77).
 #
 # Configures a separate build tree with -DMANNA_SANITIZE=address,
-# undefined, builds the robustness test binary, the fig12 bench and
-# mannad, and runs test_robustness plus the chaos soak (daemon phases
-# included) under instrumentation — the fault-injection error paths
-# (torn lines, failed fsyncs, signal interrupts, daemon failover) are
-# exactly the code that normal runs rarely exercise, so they get the
+# undefined, builds the robustness and chip test binaries, the fig12
+# bench and mannad, and runs test_robustness, the timing-only chip
+# tests (TimingOnly.*) and the chaos soak (daemon phases included)
+# under instrumentation — the fault-injection error paths (torn lines,
+# failed fsyncs, signal interrupts, daemon failover) are exactly the
+# code that normal runs rarely exercise, and the timing-only chip's
+# size-only tile memories hand out null spans, so they get the
 # memory-safety pass here. Exits 77 (ctest SKIP) when the toolchain
 # cannot link sanitized binaries.
 #
@@ -36,7 +38,8 @@ if ! cmake -S . -B "$builddir" -DMANNA_SANITIZE=address,undefined \
 fi
 jobs=$(nproc 2>/dev/null || echo 2)
 if ! cmake --build "$builddir" -j"$jobs" \
-        --target test_robustness fig12_strong_scaling mannad \
+        --target test_robustness test_sim_chip fig12_strong_scaling \
+        mannad \
         > "$probe/build.log" 2>&1; then
     echo "sanitize_gate: sanitized build failed:" >&2
     tail -20 "$probe/build.log" >&2
@@ -51,6 +54,12 @@ if ! "$builddir/tests/test_robustness" > "$probe/robust.log" 2>&1; then
     tail -30 "$probe/robust.log" >&2
     errors=$((errors + 1))
 fi
+if ! "$builddir/tests/test_sim_chip" --gtest_filter='TimingOnly.*' \
+        > "$probe/timing.log" 2>&1; then
+    echo "sanitize_gate: sanitized TimingOnly tests failed:" >&2
+    tail -30 "$probe/timing.log" >&2
+    errors=$((errors + 1))
+fi
 if ! scripts/chaos_soak.sh "$builddir/bench/fig12_strong_scaling" \
         "$builddir/tools/mannad"; then
     echo "sanitize_gate: sanitized chaos soak failed" >&2
@@ -58,4 +67,4 @@ if ! scripts/chaos_soak.sh "$builddir/bench/fig12_strong_scaling" \
 fi
 
 [ "$errors" -eq 0 ] || exit 1
-echo "sanitize_gate: OK (ASan+UBSan: test_robustness + chaos soak)"
+echo "sanitize_gate: OK (ASan+UBSan: test_robustness + TimingOnly + chaos soak)"

@@ -25,8 +25,7 @@ ClusterConfig::validate() const
 ClusterResult
 evaluateCluster(const workloads::Benchmark &benchmark,
                 const arch::MannaConfig &chipConfig,
-                const ClusterConfig &cluster, std::size_t steps,
-                std::uint64_t seed)
+                const ClusterConfig &cluster, std::size_t steps)
 {
     cluster.validate();
 
@@ -38,7 +37,7 @@ evaluateCluster(const workloads::Benchmark &benchmark,
         chipConfig.numTiles);
 
     const MannaResult perChip =
-        simulateManna(share, chipConfig, steps, seed);
+        simulateManna(share, chipConfig, steps);
 
     ClusterResult result;
     result.chips = cluster.chips;

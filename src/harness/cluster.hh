@@ -54,8 +54,7 @@ struct ClusterResult
 ClusterResult evaluateCluster(const workloads::Benchmark &benchmark,
                               const arch::MannaConfig &chipConfig,
                               const ClusterConfig &cluster,
-                              std::size_t steps,
-                              std::uint64_t seed = 1);
+                              std::size_t steps);
 
 } // namespace manna::harness
 

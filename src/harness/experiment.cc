@@ -10,27 +10,15 @@ namespace manna::harness
 {
 
 MannaResult
-runCompiled(const workloads::Benchmark &benchmark,
-            const compiler::CompiledModel &model, std::size_t steps,
-            std::uint64_t seed, const CancelToken *cancel,
-            sim::TraceLogger *trace, sim::Fidelity fidelity)
+runCompiled(const compiler::CompiledModel &model, std::size_t steps,
+            const CancelToken *cancel, sim::TraceLogger *trace,
+            sim::Fidelity fidelity)
 {
-    sim::Chip chip(model, seed, fidelity);
+    sim::TimingChip chip(model, fidelity);
     chip.setCancelToken(cancel);
     if (trace != nullptr)
         chip.attachTrace(trace);
-    Rng rng(seed ^ 0x5eedf00dull);
-    workloads::Episode episode =
-        workloads::generateEpisode(benchmark, steps, rng);
-
-    // Trim or extend the episode to exactly `steps` inputs so the
-    // per-step metrics are comparable across benchmarks.
-    while (episode.inputs.size() < steps)
-        episode.inputs.push_back(
-            tensor::FVec(benchmark.config.inputDim, 0.0f));
-    episode.inputs.resize(steps);
-
-    chip.run(episode.inputs);
+    chip.run(steps);
 
     MannaResult result;
     result.report = chip.report();
@@ -50,13 +38,12 @@ runCompiled(const workloads::Benchmark &benchmark,
 MannaResult
 simulateManna(const workloads::Benchmark &benchmark,
               const arch::MannaConfig &config, std::size_t steps,
-              std::uint64_t seed, sim::Fidelity fidelity)
+              sim::Fidelity fidelity)
 {
     const auto model = compiler::compileCached(benchmark.config, config);
     for (const auto &w : model->warnings)
         debugLog("%s: %s", benchmark.name.c_str(), w.c_str());
-    return runCompiled(benchmark, *model, steps, seed, nullptr, nullptr,
-                       fidelity);
+    return runCompiled(*model, steps, nullptr, nullptr, fidelity);
 }
 
 BaselineResult

@@ -18,7 +18,6 @@
 #include "compiler/compiled_model.hh"
 #include "sim/chip.hh"
 #include "workloads/benchmarks.hh"
-#include "workloads/tasks.hh"
 
 namespace manna::harness
 {
@@ -52,18 +51,25 @@ struct BaselineResult
 
 /**
  * Simulate @p steps time steps of a benchmark on the given Manna
- * configuration, driving it with the benchmark's task generator.
+ * configuration (runCompiled() on the compiled benchmark).
  * Compilation goes through the process-wide compile cache.
  */
 MannaResult simulateManna(const workloads::Benchmark &benchmark,
                           const arch::MannaConfig &config,
-                          std::size_t steps, std::uint64_t seed = 1,
+                          std::size_t steps,
                           sim::Fidelity fidelity = sim::Fidelity::Cycle);
 
 /**
  * Simulation phase of simulateManna() for an already-compiled model:
  * pure and log-free, so sweep workers can run it concurrently
  * (capacity warnings stay on the model for the caller to report).
+ *
+ * The run is timing-only (sim::TimingChip): no golden model, no tile
+ * storage, no tensor math and no replay tape. Its report equals that
+ * of a functional sim::Chip run of the same steps under any seed and
+ * inputs, because compiled programs have no data-dependent control
+ * flow. Per-step outputs, read vectors and gathered memory need a
+ * sim::Chip.
  *
  * @p cancel, when non-null, is polled cooperatively by the chip; a
  * fired token makes the simulation throw SimError (used by the sweep
@@ -74,12 +80,11 @@ MannaResult simulateManna(const workloads::Benchmark &benchmark,
  * records each executed instruction (see sim::TraceLogger and
  * docs/OBSERVABILITY.md); it has no effect on results or timing.
  *
- * @p fidelity selects cycle-accurate or calibrated-fast execution
- * (sim/fidelity.hh); tensor outputs are bit-identical either way.
+ * @p fidelity selects cycle-accurate or calibrated-fast timing
+ * (sim/fidelity.hh).
  */
-MannaResult runCompiled(const workloads::Benchmark &benchmark,
-                        const compiler::CompiledModel &model,
-                        std::size_t steps, std::uint64_t seed = 1,
+MannaResult runCompiled(const compiler::CompiledModel &model,
+                        std::size_t steps,
                         const CancelToken *cancel = nullptr,
                         sim::TraceLogger *trace = nullptr,
                         sim::Fidelity fidelity = sim::Fidelity::Cycle);

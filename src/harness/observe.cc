@@ -77,15 +77,14 @@ traceOptionsFromConfig(const Config &cfg)
 bool
 writeChromeTrace(const TraceOptions &opts,
                  const workloads::Benchmark &benchmark,
-                 const arch::MannaConfig &config, std::size_t steps,
-                 std::uint64_t seed)
+                 const arch::MannaConfig &config, std::size_t steps)
 {
     if (!opts.enabled())
         return false;
     const auto model = compiler::compileCached(benchmark.config,
                                                config);
     sim::TraceLogger logger(opts.maxEntries);
-    runCompiled(benchmark, *model, steps, seed, nullptr, &logger);
+    runCompiled(*model, steps, nullptr, &logger);
 
     if (!writeFileAtomic(opts.path, logger.renderChromeTrace())) {
         warn("cannot write chrome trace to '%s'", opts.path.c_str());
@@ -136,14 +135,13 @@ stallEntryJson(const StallEntry &e, double engineCycles)
 std::string
 renderProfileJson(const workloads::Benchmark &benchmark,
                   const arch::MannaConfig &config, std::size_t steps,
-                  std::uint64_t seed, std::size_t topN)
+                  std::size_t topN)
 {
     static constexpr const char *kEngines[] = {"emac", "sfu",
                                                "mat_dma", "vec_dma"};
     const auto model = compiler::compileCached(benchmark.config,
                                                config);
-    const MannaResult result =
-        runCompiled(benchmark, *model, steps, seed);
+    const MannaResult result = runCompiled(*model, steps);
     const StatRegistry &reg = result.report.stats;
     const double totalCycles =
         static_cast<double>(result.report.totalCycles);
@@ -246,13 +244,12 @@ renderProfileJson(const workloads::Benchmark &benchmark,
 bool
 writeProfile(const ProfileOptions &opts,
              const workloads::Benchmark &benchmark,
-             const arch::MannaConfig &config, std::size_t steps,
-             std::uint64_t seed)
+             const arch::MannaConfig &config, std::size_t steps)
 {
     if (!opts.enabled())
         return false;
     const std::string doc =
-        renderProfileJson(benchmark, config, steps, seed, opts.topN);
+        renderProfileJson(benchmark, config, steps, opts.topN);
     if (!writeFileAtomic(opts.path, doc)) {
         warn("cannot write profile to '%s'", opts.path.c_str());
         return false;

@@ -65,7 +65,7 @@ TraceOptions traceOptionsFromConfig(const Config &cfg);
 bool writeChromeTrace(const TraceOptions &opts,
                       const workloads::Benchmark &benchmark,
                       const arch::MannaConfig &config,
-                      std::size_t steps, std::uint64_t seed = 1);
+                      std::size_t steps);
 
 /** Cycle-accounting profile export knobs (see file comment). */
 struct ProfileOptions
@@ -96,8 +96,7 @@ ProfileOptions profileOptionsFromConfig(const Config &cfg);
  */
 std::string renderProfileJson(const workloads::Benchmark &benchmark,
                               const arch::MannaConfig &config,
-                              std::size_t steps, std::uint64_t seed,
-                              std::size_t topN);
+                              std::size_t steps, std::size_t topN);
 
 /** Simulate one representative point and write renderProfileJson()
  * to @p opts.path. No-op (returning false) when profiling is
@@ -105,8 +104,7 @@ std::string renderProfileJson(const workloads::Benchmark &benchmark,
  * written. */
 bool writeProfile(const ProfileOptions &opts,
                   const workloads::Benchmark &benchmark,
-                  const arch::MannaConfig &config, std::size_t steps,
-                  std::uint64_t seed = 1);
+                  const arch::MannaConfig &config, std::size_t steps);
 
 /** Perf-regression snapshot knobs (see file comment). */
 struct BenchJsonOptions

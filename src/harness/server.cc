@@ -6,8 +6,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <list>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -173,10 +175,40 @@ struct Server::Impl
     std::uint64_t journalHits = 0;
     std::map<std::string, std::uint64_t> perClientDispatched;
 
-    /** Every result this daemon computed, keyed by job fingerprint,
-     * so a resubmitted job is answered without re-running. In memory
-     * only and unbounded: it lives as long as the daemon. */
-    std::map<std::uint64_t, MannaResult> resultCache;
+    /** Results this daemon computed, keyed by job fingerprint, so a
+     * resubmitted job is answered without re-running. In memory only;
+     * past opts.cacheEntries results (0 = unbounded) the least
+     * recently used one is evicted. All guarded by mu. */
+    using CachedResult = std::pair<std::uint64_t, MannaResult>;
+    std::list<CachedResult> resultLru; ///< most recently used first
+    std::unordered_map<std::uint64_t, std::list<CachedResult>::iterator>
+        resultCache;
+
+    /** The cached result for @p fp, now most recently used; nullptr
+     * on a miss. */
+    const MannaResult *
+    findResult(std::uint64_t fp)
+    {
+        const auto it = resultCache.find(fp);
+        if (it == resultCache.end())
+            return nullptr;
+        resultLru.splice(resultLru.begin(), resultLru, it->second);
+        return &it->second->second;
+    }
+
+    void
+    storeResult(std::uint64_t fp, const MannaResult &result)
+    {
+        if (findResult(fp) != nullptr)
+            return; // two clients raced on the same point
+        resultLru.emplace_front(fp, result);
+        resultCache.emplace(fp, resultLru.begin());
+        if (opts.cacheEntries > 0 &&
+            resultLru.size() > opts.cacheEntries) {
+            resultCache.erase(resultLru.back().first);
+            resultLru.pop_back();
+        }
+    }
     Clock::time_point startTime;
     std::uint64_t runSpanId = 0;
 
@@ -598,13 +630,12 @@ Server::handleSubmit(const std::shared_ptr<Conn> &conn,
     const std::uint64_t fp = job->fingerprint();
     {
         std::lock_guard<std::mutex> lock(im.mu);
-        const auto it = im.resultCache.find(fp);
-        if (it != im.resultCache.end()) {
+        if (const MannaResult *cached = im.findResult(fp)) {
             ++im.journalHits;
             std::string result =
                 strformat("id %llu result ",
                           static_cast<unsigned long long>(id));
-            proto::appendSized(result, encodeResult(it->second));
+            proto::appendSized(result, encodeResult(*cached));
             im.send(*conn, proto::MsgType::Result,
                     std::move(result), /*allowTear=*/true);
             return;
@@ -761,10 +792,8 @@ Server::executeJob(std::shared_ptr<Conn> conn, Pending pending,
     try {
         const auto model = compiler::compileCached(
             pending.job.benchmark.config, pending.job.config);
-        result = runCompiled(pending.job.benchmark, *model,
-                             pending.job.steps, pending.job.seed,
-                             token.get(), nullptr,
-                             pending.job.fidelity);
+        result = runCompiled(*model, pending.job.steps, token.get(),
+                             nullptr, pending.job.fidelity);
         ok = true;
     } catch (const Error &e) {
         errKind = e.kind();
@@ -781,7 +810,7 @@ Server::executeJob(std::shared_ptr<Conn> conn, Pending pending,
         --im.inFlightTotal;
         if (ok) {
             ++im.completed;
-            im.resultCache.emplace(pending.job.fingerprint(), result);
+            im.storeResult(pending.job.fingerprint(), result);
         } else if (!token->cancelled()) {
             // A cancelled token means Cancel or a client disconnect
             // got here first; both already counted the job as

@@ -84,7 +84,8 @@ struct ServerOptions
      * HelloOk so they can merge it into their harness trace). */
     std::string eventsPath;
 
-    /** Compile-cache entry bound (0 = unbounded). */
+    /** Entry bound of the compile cache and of the result cache, each
+     * least-recently-used (0 = unbounded). */
     std::size_t cacheEntries = 0;
 };
 

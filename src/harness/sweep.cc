@@ -1029,8 +1029,7 @@ SweepRunner::runChecked(const std::vector<SweepJob> &jobs,
             const SweepJob &job = jobs[i];
             models[i] = compiler::compileCached(job.benchmark.config,
                                                 job.config);
-            return runCompiled(job.benchmark, *models[i], job.steps,
-                               job.seed, &cancel, nullptr,
+            return runCompiled(*models[i], job.steps, &cancel, nullptr,
                                job.fidelity);
         },
         labels, fingerprints, opts);

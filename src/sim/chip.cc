@@ -231,14 +231,15 @@ populateRunStats(RunReport &rep,
 ChipCore::ChipCore(const arch::MannaConfig &arch,
                    const TileLayoutSizes &sizes,
                    const std::vector<compiler::CompiledSegment> &segments,
-                   const mann::MannConfig &shape, Fidelity fidelity)
+                   const mann::MannConfig &shape, Fidelity fidelity,
+                   bool timingOnly)
     : arch_(arch), sizes_(sizes), segments_(segments), shape_(shape),
       energy_(arch), noc_(arch, energy_), ctrlModel_(arch, energy_),
-      fidelity_(fidelity)
+      fidelity_(fidelity), timingOnly_(timingOnly)
 {
     for (std::size_t t = 0; t < arch_.numTiles; ++t)
-        tiles_.push_back(
-            std::make_unique<DiffMemTile>(arch_, energy_, t, sizes_));
+        tiles_.push_back(std::make_unique<DiffMemTile>(
+            arch_, energy_, t, sizes_, interpretMode()));
 }
 
 void
@@ -247,8 +248,10 @@ ChipCore::reset()
     for (auto &tile : tiles_) {
         tile->memory() =
             TileMemory(sizes_.matBufWords, sizes_.matSpadWords,
-                       sizes_.vecBufWords, sizes_.vecSpadWords);
+                       sizes_.vecBufWords, sizes_.vecSpadWords,
+                       !timingOnly_);
         tile->reset();
+        tile->setExecMode(interpretMode());
     }
     noc_.resetStats();
     ctrlModel_.resetStats();
@@ -256,13 +259,14 @@ ChipCore::reset()
     readVectors_.assign(shape_.numReadHeads,
                         tensor::FVec(shape_.memM, 0.0f));
     nocBuffer_.clear();
+    nocWords_ = 0;
     tape_.clear();
     chipTime_ = 0;
     nocEnergyPj_ = 0.0;
     ctrlEnergyPj_ = 0.0;
     groups_.clear();
     steps_ = 0;
-    fastActive_ = false; // tile flags were cleared by tile->reset()
+    fastActive_ = false;
     calib1_ = RunReport();
     calib2_ = RunReport();
 }
@@ -313,12 +317,12 @@ ChipCore::checkCancelled() const
 tensor::FVec
 ChipCore::step(const tensor::FVec &input)
 {
-    checkCancelled();
+    MANNA_ASSERT(!timingOnly_, "a timing-only chip takes no inputs");
     MANNA_ASSERT(input.size() == shape_.inputDim,
                  "chip input size %zu != %zu", input.size(),
                  shape_.inputDim);
 
-    // ---- Controller tile ----
+    // ---- Controller tile: functional forward pass ----
     ctrlInput_.clear();
     ctrlInput_.insert(ctrlInput_.end(), input.begin(), input.end());
     for (const auto &r : readVectors_)
@@ -329,7 +333,22 @@ ChipCore::step(const tensor::FVec &input)
     // extra column.
     pendingHidden_.assign(ctrl.hidden.begin(), ctrl.hidden.end());
     pendingHidden_.push_back(1.0f);
+    advance();
+    return ctrl.output;
+}
 
+void
+ChipCore::advance()
+{
+    checkCancelled();
+    if (timingOnly_ && fastActive_) {
+        // Past the calibration prefix only the step count moves:
+        // report() extrapolates, and there is no data to replay.
+        ++steps_;
+        return;
+    }
+
+    // ---- Controller tile: forward-pass cost ----
     if (!fastActive_) {
         const CtrlCost ctrlCost = ctrlModel_.forwardCost(shape_);
         ctrlModel_.recordForwardPass(ctrlCost);
@@ -360,26 +379,29 @@ ChipCore::step(const tensor::FVec &input)
             // recording is orthogonal to timing (runFunctional appends
             // the same resolved ops in every fidelity), so the first
             // fast step can already replay.
-            tape_.startRecording();
-            for (auto &tile : tiles_)
-                tile->setReplayTape(&tape_);
+            if (!timingOnly_) {
+                tape_.startRecording();
+                for (auto &tile : tiles_)
+                    tile->setReplayTape(&tape_);
+            }
         } else if (steps_ == kFastCalibrationSteps) {
             calib2_ = cycleReport();
-            tape_.finishRecording();
-            for (auto &tile : tiles_)
-                tile->setReplayTape(nullptr);
             activateFastMode();
         }
     }
-    return ctrl.output;
 }
 
 void
 ChipCore::activateFastMode()
 {
     fastActive_ = true;
-    for (auto &tile : tiles_)
-        tile->setFastFunctional(true);
+    if (timingOnly_)
+        return; // the tiles never run again
+    tape_.finishRecording();
+    for (auto &tile : tiles_) {
+        tile->setReplayTape(nullptr);
+        tile->setExecMode(ExecMode::DataOnly);
+    }
 }
 
 void
@@ -493,10 +515,17 @@ ChipCore::handleComm(const Instruction &inst)
     std::size_t words = 0;
     if (inst.op == Opcode::Reduce) {
         words = inst.srcA.len;
-        commStage_.resize(tiles_.size());
-        for (std::size_t t = 0; t < tiles_.size(); ++t)
-            tiles_[t]->readOperandInto(inst.srcA, commStage_[t]);
-        Noc::combineInto(commStage_, inst.flags.reduceOp, nocBuffer_);
+        nocWords_ = words;
+        if (timingOnly_) {
+            for (auto &tile : tiles_)
+                tile->operandSpan(inst.srcA); // bounds check only
+        } else {
+            commStage_.resize(tiles_.size());
+            for (std::size_t t = 0; t < tiles_.size(); ++t)
+                tiles_[t]->readOperandInto(inst.srcA, commStage_[t]);
+            Noc::combineInto(commStage_, inst.flags.reduceOp,
+                             nocBuffer_);
+        }
         if (tape_.recording()) {
             commSrcPtrs_.clear();
             for (auto &tile : tiles_)
@@ -520,8 +549,9 @@ ChipCore::handleComm(const Instruction &inst)
             const std::uint32_t h = compiler::commIndexOf(inst.count);
             MANNA_ASSERT(h < readVectors_.size(),
                          "read-vector index %u out of range", h);
-            readVectors_[h].assign(nocBuffer_.begin(),
-                                   nocBuffer_.end());
+            if (!timingOnly_)
+                readVectors_[h].assign(nocBuffer_.begin(),
+                                       nocBuffer_.end());
             if (tape_.recording()) {
                 ReplayOp rop;
                 rop.kind = ReplayKind::ReadVectorOut;
@@ -533,11 +563,13 @@ ChipCore::handleComm(const Instruction &inst)
             // DNC only: the Controller tile runs the free-list scan on
             // the reduced usage vector with the golden model's own
             // code. The scan is functional state, so it runs in every
-            // fidelity; its latency (a ~N log2 N sort network) and its
-            // energy (one SFU-class op per element) are charged only
-            // while timing is modelled.
+            // fidelity with data; its latency (a ~N log2 N sort
+            // network) and its energy (one SFU-class op per element)
+            // depend only on N and are charged while timing is
+            // modelled.
             const auto n = static_cast<std::uint32_t>(words);
-            nocBuffer_ = mann::dncAllocationFromUsage(nocBuffer_);
+            if (!timingOnly_)
+                nocBuffer_ = mann::dncAllocationFromUsage(nocBuffer_);
             if (tape_.recording()) {
                 ReplayOp rop;
                 rop.kind = ReplayKind::UsageToAlloc;
@@ -561,16 +593,23 @@ ChipCore::handleComm(const Instruction &inst)
         if (tag == CommTag::HiddenIn) {
             // Payload comes from the Controller tile at the root; the
             // broadcast cannot start before the controller finished.
+            // It is the hidden state plus the bias lane.
             commStart = std::max(commStart, controllerReady_);
-            nocBuffer_.assign(pendingHidden_.begin(),
-                              pendingHidden_.end());
+            nocWords_ = shape_.hiddenDim() + 1;
+            if (!timingOnly_)
+                nocBuffer_.assign(pendingHidden_.begin(),
+                                  pendingHidden_.end());
         }
         words = inst.dst.len;
-        MANNA_ASSERT(nocBuffer_.size() == words,
+        MANNA_ASSERT(nocWords_ == words,
                      "broadcast of %zu words but NoC buffer holds %zu",
-                     words, nocBuffer_.size());
-        for (auto &tile : tiles_)
-            tile->writeOperand(inst.dst, nocBuffer_);
+                     words, nocWords_);
+        for (auto &tile : tiles_) {
+            if (timingOnly_)
+                tile->operandSpanMut(inst.dst); // bounds check only
+            else
+                tile->writeOperand(inst.dst, nocBuffer_);
+        }
         if (tape_.recording()) {
             commDstPtrs_.clear();
             for (auto &tile : tiles_)
@@ -641,6 +680,28 @@ ChipCore::attachTrace(TraceLogger *logger)
 {
     for (auto &tile : tiles_)
         tile->setTraceLogger(logger);
+}
+
+TimingChip::TimingChip(const compiler::CompiledModel &model,
+                       Fidelity fidelity)
+    : ChipCore(model.archCfg, tileSizesOf(model.layout),
+               model.stepSegments, model.mannCfg, fidelity,
+               /*timingOnly=*/true)
+{
+    reset();
+}
+
+void
+TimingChip::run(std::size_t steps)
+{
+    for (std::size_t t = 0; t < steps; ++t)
+        advance();
+}
+
+mann::Controller &
+TimingChip::controller()
+{
+    panic("a timing-only chip has no functional controller");
 }
 
 Chip::Chip(const compiler::CompiledModel &model, std::uint64_t seed,

@@ -20,6 +20,13 @@
  * instruction-by-instruction on the DiffMem tile models, so the
  * chip's outputs validate the entire compiler + simulator stack
  * against the golden model.
+ *
+ * TimingChip is the third shell: the same step loop with no golden
+ * model and no tensor data. Compiled programs have no data-dependent
+ * control flow, so every cycle, stall, energy event and stats counter
+ * depends only on (program, config), and its report() equals a Chip's
+ * or DncChip's bit for bit (tests/test_sim_chip.cc, TimingOnly.*).
+ * The sweep harness runs every job on it (harness::runCompiled).
  */
 
 #ifndef MANNA_SIM_CHIP_HH
@@ -38,6 +45,11 @@
 #include "sim/fidelity.hh"
 #include "sim/noc.hh"
 #include "sim/tile.hh"
+
+namespace manna::compiler
+{
+struct CompiledDnc;
+} // namespace manna::compiler
 
 namespace manna::sim
 {
@@ -111,8 +123,8 @@ tileSizesOf(const Layout &layout)
 
 /**
  * The chip driver shared by every compiled MANN. A shell derives from
- * it, constructs its golden model, and calls reset() from its own
- * constructor (reset() reaches the shell's loadState()).
+ * it, constructs its golden model (if any), and calls reset() from its
+ * own constructor (reset() reaches the shell's loadState()).
  */
 class ChipCore
 {
@@ -125,7 +137,8 @@ class ChipCore
     /** Reset memory, recurrent state, and all statistics. */
     void reset();
 
-    /** Execute one time step; returns the controller output. */
+    /** Execute one time step; returns the controller output. Not on
+     * a timing-only chip (TimingChip::run). */
     tensor::FVec step(const tensor::FVec &input);
 
     /** Run a sequence of inputs. */
@@ -162,11 +175,22 @@ class ChipCore
      * first kFastCalibrationSteps time steps run cycle-accurate and
      * the rest execute functionally; report() extrapolates (see
      * sim/fidelity.hh). Tensor results are bit-identical across
-     * fidelities.
+     * fidelities, and so are the reports of a functional and a
+     * @p timingOnly chip.
+     *
+     * A timing-only chip runs every instruction's timing, stall,
+     * energy and counter bookkeeping with no tensor math, on size-only
+     * tile memories; its comms move no data, and in fast mode the
+     * steps after the calibration prefix are only counted.
      */
     ChipCore(const arch::MannaConfig &arch, const TileLayoutSizes &sizes,
              const std::vector<compiler::CompiledSegment> &segments,
-             const mann::MannConfig &shape, Fidelity fidelity);
+             const mann::MannConfig &shape, Fidelity fidelity,
+             bool timingOnly = false);
+
+    /** One time step of the tiles, NoC and Controller-tile timing;
+     * step() runs the functional controller first. */
+    void advance();
 
     /** The golden model's functional controller. */
     virtual mann::Controller &controller() = 0;
@@ -191,6 +215,12 @@ class ChipCore
         const compiler::CompiledSegment &segment);
     void handleComm(const isa::Instruction &inst);
     void checkCancelled() const;
+    /** The tiles' mode while they interpret instructions. */
+    ExecMode interpretMode() const
+    {
+        return timingOnly_ ? ExecMode::TimingOnly
+                           : ExecMode::TimingAndData;
+    }
     /** report() body for the cycle-accurate counters (also the
      * calibration snapshots in fast mode). */
     RunReport cycleReport() const;
@@ -214,8 +244,10 @@ class ChipCore
     tensor::FVec pendingHidden_;
     Cycle controllerReady_ = 0;
 
-    // NoC data in flight (result of the last Reduce).
+    // NoC data in flight (result of the last Reduce) and its length,
+    // which a timing-only chip tracks without the data.
     std::vector<float> nocBuffer_;
+    std::size_t nocWords_ = 0;
 
     // Reusable hot-path buffers: per-tile operand staging for
     // reduces and the concatenated controller input. Steady-state
@@ -234,6 +266,7 @@ class ChipCore
     // fidelity=fast calibration state: snapshots after the first and
     // second cycle-accurate steps; fastActive_ flips once both exist.
     Fidelity fidelity_ = Fidelity::Cycle;
+    const bool timingOnly_;
     bool fastActive_ = false;
     RunReport calib1_;
     RunReport calib2_;
@@ -274,6 +307,29 @@ class Chip : public ChipCore
 
     const compiler::CompiledModel &model_;
     mann::Ntm ntm_; ///< weights + functional controller
+};
+
+/**
+ * The timing-only chip: a compiled NTM or DNC on ChipCore with no
+ * golden model and size-only tile memories. It yields the report of a
+ * Chip or DncChip run for the same number of steps (any seed, any
+ * inputs) but no outputs, read vectors or memory.
+ */
+class TimingChip : public ChipCore
+{
+  public:
+    explicit TimingChip(const compiler::CompiledModel &model,
+                        Fidelity fidelity = Fidelity::Cycle);
+    /** Defined in dnc_chip.cc, next to the DNC's MANN shape. */
+    explicit TimingChip(const compiler::CompiledDnc &model,
+                        Fidelity fidelity = Fidelity::Cycle);
+
+    /** Simulate @p steps more time steps. */
+    void run(std::size_t steps);
+
+  private:
+    mann::Controller &controller() override;
+    void loadState() override {} // no data to load
 };
 
 } // namespace manna::sim

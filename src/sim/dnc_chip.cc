@@ -29,6 +29,15 @@ mannShapeOf(const mann::DncConfig &dc)
 
 } // namespace
 
+TimingChip::TimingChip(const compiler::CompiledDnc &model,
+                       Fidelity fidelity)
+    : ChipCore(model.archCfg, tileSizesOf(model.layout),
+               model.stepSegments, mannShapeOf(model.dncCfg), fidelity,
+               /*timingOnly=*/true)
+{
+    reset();
+}
+
 DncChip::DncChip(const compiler::CompiledDnc &model, std::uint64_t seed,
                  Fidelity fidelity)
     : ChipCore(model.archCfg, tileSizesOf(model.layout),

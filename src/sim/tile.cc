@@ -18,10 +18,11 @@ using isa::Space;
 DiffMemTile::DiffMemTile(const arch::MannaConfig &cfg,
                          const arch::EnergyModel &energy,
                          std::size_t tileIndex,
-                         const TileLayoutSizes &sizes)
+                         const TileLayoutSizes &sizes, ExecMode mode)
     : cfg_(cfg), energy_(energy), tileIndex_(tileIndex),
       mem_(sizes.matBufWords, sizes.matSpadWords, sizes.vecBufWords,
-           sizes.vecSpadWords)
+           sizes.vecSpadWords, mode != ExecMode::TimingOnly),
+      mode_(mode)
 {
 }
 
@@ -132,7 +133,7 @@ DiffMemTile::resumeAfterComm(Cycle resumeAt)
     // The communication instruction is a fence (Section 5.1).
     commInstruction(); // asserts we are actually blocked
     ++pc_;
-    if (fastFunctional_)
+    if (!timed())
         return; // no timelines to fence, no counters to charge
     alignTo(resumeAt, StallReason::Fence);
     counters_[TileCounter::CommInstructions] += 1.0;
@@ -201,7 +202,6 @@ DiffMemTile::reset()
     std::fill(std::begin(opWords_), std::end(opWords_), 0.0);
     lastOpBusy_ = 0.0;
     lastOpWords_ = 0.0;
-    fastFunctional_ = false;
     tape_ = nullptr;
     program_ = nullptr;
     pc_ = 0;
@@ -332,7 +332,7 @@ DiffMemTile::exportOpProfile(StatRegistry &reg,
 void
 DiffMemTile::execute(const Instruction &inst)
 {
-    if (!fastFunctional_) {
+    if (timed()) {
         counters_[TileCounter::Instructions] += 1.0;
         charge(arch::EnergyEvent::InstructionIssue, 1.0);
     }
@@ -377,7 +377,7 @@ DiffMemTile::execute(const Instruction &inst)
         panic("unexpected opcode %s in execute",
               toString(inst.op));
     }
-    if (fastFunctional_)
+    if (!timed())
         return;
     const auto opIdx = static_cast<std::size_t>(inst.op);
     opCycles_[opIdx] += lastOpBusy_;
@@ -426,7 +426,7 @@ DiffMemTile::execDmaMatrix(const Instruction &inst)
                  "matrix DMA: buffer pitch %u < row width %u", bufPitch,
                  rowWords);
 
-    if (!fastFunctional_) {
+    if (timed()) {
         // Timing. Loads rotate the double-buffer halves; a load may
         // only overwrite a half once the compute that consumed it has
         // drained (WAR through spadReadEnd_).
@@ -509,7 +509,7 @@ DiffMemTile::execDmaVector(const Instruction &inst)
     MANNA_ASSERT(src.len == dst.len, "vector DMA len %u != %u", src.len,
                  dst.len);
 
-    if (!fastFunctional_) {
+    if (timed()) {
         StallPicker p(freeTime(TraceLane::VecDma));
         p.consider(now_, StallReason::Issue);
         readDependency(src, p);
@@ -576,7 +576,7 @@ DiffMemTile::execVmm(const Instruction &inst)
                  numRows, pitch);
     MANNA_ASSERT(numRows > 0 && numCols > 0, "vmm with empty block");
 
-    if (!fastFunctional_) {
+    if (timed()) {
         // Timing.
         StallPicker p(freeTime(TraceLane::Compute));
         p.consider(now_, StallReason::Issue);
@@ -702,7 +702,7 @@ DiffMemTile::execElementwise(const Instruction &inst)
                      "%s srcB len %u incompatible with dst %u",
                      toString(inst.op), b.len, len);
 
-    if (!fastFunctional_) {
+    if (timed()) {
         StallPicker p(freeTime(TraceLane::Compute));
         p.consider(now_, StallReason::Issue);
         if (needsA)
@@ -815,7 +815,7 @@ DiffMemTile::execSfu(const Instruction &inst)
         panic("bad SFU opcode");
     }
 
-    if (!fastFunctional_) {
+    if (timed()) {
         StallPicker p(freeTime(TraceLane::Sfu));
         p.consider(now_, StallReason::Issue);
         readDependency(a, p);

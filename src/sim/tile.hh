@@ -135,6 +135,20 @@ static_assert(std::size(kTileCounterNames) == kNumTileCounters,
 constexpr const char *kEngineNames[kNumLanes] = {"emac", "sfu",
                                                  "mat_dma", "vec_dma"};
 
+/**
+ * What executing an instruction does on a tile. TimingAndData is the
+ * cycle-accurate interpreter; DataOnly is fidelity=fast after its
+ * calibration prefix (tensor math only, the chip extrapolates the
+ * accounting); TimingOnly is the timing-only chip's (every timeline,
+ * stall, energy, counter and trace record, but no tensor math).
+ */
+enum class ExecMode
+{
+    TimingAndData,
+    DataOnly,
+    TimingOnly,
+};
+
 /** Per-space word counts for the tile's functional storage. */
 struct TileLayoutSizes
 {
@@ -150,9 +164,12 @@ struct TileLayoutSizes
 class DiffMemTile
 {
   public:
+    /** A TimingOnly tile gets a size-only memory (sim/tile_memory.hh);
+     * the other modes get zeroed storage. */
     DiffMemTile(const arch::MannaConfig &cfg,
                 const arch::EnergyModel &energy, std::size_t tileIndex,
-                const TileLayoutSizes &sizes);
+                const TileLayoutSizes &sizes,
+                ExecMode mode = ExecMode::TimingAndData);
 
     /** Install a program and reset the program counter / loop state
      * (timing state is preserved across programs). */
@@ -195,7 +212,8 @@ class DiffMemTile
     void alignTo(Cycle at, StallReason reason = StallReason::Drain);
 
     /** Zero all timing state, counters, and energy (chip reset). The
-     * functional memory is the chip's to reinitialize. */
+     * functional memory and the execution mode are the chip's to
+     * reinitialize. */
     void reset();
 
     /** Time at which every outstanding operation has completed. */
@@ -250,15 +268,13 @@ class DiffMemTile
     void setTraceLogger(TraceLogger *logger) { trace_ = logger; }
 
     /**
-     * fidelity=fast support: when enabled, instructions execute their
-     * functional semantics only — no resource timelines, no stall
-     * attribution, no energy charges, no per-opcode profile, no trace
-     * records. The chip extrapolates all accounting from its
-     * calibration prefix instead (see sim/fidelity.hh). reset()
-     * clears the flag.
+     * Select what instructions do (see ExecMode). DataOnly skips the
+     * resource timelines, stall attribution, energy charges,
+     * per-opcode profile and trace records; TimingOnly skips only the
+     * tensor math, so it needs no data in memory(). Operand bounds
+     * and geometry are checked in every mode.
      */
-    void setFastFunctional(bool fast) { fastFunctional_ = fast; }
-    bool fastFunctional() const { return fastFunctional_; }
+    void setExecMode(ExecMode mode) { mode_ = mode; }
 
     /**
      * Attach (or detach, with nullptr) a recording replay tape: while
@@ -296,13 +312,19 @@ class DiffMemTile
     /** Record @p op if a tape is attached, then execute it via the
      * shared functional implementation (sim/replay.cc). Called by the
      * exec* handlers in BOTH fidelities, so interpreted and replayed
-     * steps share one functional code path. */
+     * steps share one functional code path. A TimingOnly tile has no
+     * data, so there is nothing to execute. */
     void runFunctional(const ReplayOp &op)
     {
+        if (mode_ == ExecMode::TimingOnly)
+            return;
         if (tape_ != nullptr && tape_->recording())
             tape_->append(op);
         execTileOp(op);
     }
+
+    /** True unless DataOnly: the timelines and accounting run. */
+    bool timed() const { return mode_ != ExecMode::DataOnly; }
 
     // --- execution helpers -------------------------------------------
     void execute(const isa::Instruction &inst);
@@ -439,7 +461,7 @@ class DiffMemTile
     double lastOpBusy_ = 0.0;
     double lastOpWords_ = 0.0;
     TraceLogger *trace_ = nullptr;
-    bool fastFunctional_ = false;
+    ExecMode mode_;
     ReplayTape *tape_ = nullptr; ///< attached only while recording
 };
 

@@ -6,59 +6,48 @@ namespace manna::sim
 {
 
 TileMemory::TileMemory(std::size_t matBufWords, std::size_t matSpadWords,
-                       std::size_t vecBufWords, std::size_t vecSpadWords)
-    : matBuf_(matBufWords, 0.0f), matSpad_(matSpadWords, 0.0f),
-      vecBuf_(vecBufWords, 0.0f), vecSpad_(vecSpadWords, 0.0f)
+                       std::size_t vecBufWords, std::size_t vecSpadWords,
+                       bool withData)
+    : words_{matBufWords, matSpadWords, vecBufWords, vecSpadWords},
+      withData_(withData)
 {
+    if (withData_)
+        for (std::size_t s = 0; s < 4; ++s)
+            data_[s].assign(words_[s], 0.0f);
 }
 
-std::vector<float> &
-TileMemory::storage(isa::Space space)
+std::size_t
+TileMemory::index(isa::Space space)
 {
     switch (space) {
       case isa::Space::MatBuf:
-        return matBuf_;
       case isa::Space::MatSpad:
-        return matSpad_;
       case isa::Space::VecBuf:
-        return vecBuf_;
       case isa::Space::VecSpad:
-        return vecSpad_;
+        return static_cast<std::size_t>(space) - 1;
       case isa::Space::None:
         break;
     }
     panic("invalid memory space");
 }
 
-const std::vector<float> &
-TileMemory::storage(isa::Space space) const
-{
-    return const_cast<TileMemory *>(this)->storage(space);
-}
-
 float
 TileMemory::read(isa::Space space, std::uint32_t addr) const
 {
-    const auto &s = storage(space);
-    MANNA_ASSERT(addr < s.size(), "%s read at %u out of %zu",
-                 toString(space), addr, s.size());
-    return s[addr];
+    return *dataSpan(space, addr, 1);
 }
 
 void
 TileMemory::write(isa::Space space, std::uint32_t addr, float value)
 {
-    auto &s = storage(space);
-    MANNA_ASSERT(addr < s.size(), "%s write at %u out of %zu",
-                 toString(space), addr, s.size());
-    s[addr] = value;
+    *dataSpan(space, addr, 1) = value;
 }
 
 std::vector<float>
 TileMemory::readRange(isa::Space space, std::uint32_t addr,
                       std::uint32_t len) const
 {
-    const float *p = span(space, addr, len);
+    const float *p = dataSpan(space, addr, len);
     return std::vector<float>(p, p + len);
 }
 
@@ -66,8 +55,8 @@ void
 TileMemory::writeRange(isa::Space space, std::uint32_t addr,
                        const std::vector<float> &values)
 {
-    float *p = span(space, addr,
-                    static_cast<std::uint32_t>(values.size()));
+    float *p = dataSpan(space, addr,
+                        static_cast<std::uint32_t>(values.size()));
     std::copy(values.begin(), values.end(), p);
 }
 
@@ -75,11 +64,12 @@ const float *
 TileMemory::span(isa::Space space, std::uint32_t addr,
                  std::uint32_t len) const
 {
-    const auto &s = storage(space);
-    MANNA_ASSERT(static_cast<std::size_t>(addr) + len <= s.size(),
+    const std::size_t s = index(space);
+    MANNA_ASSERT(static_cast<std::size_t>(addr) + len <= words_[s],
                  "%s span [%u, %u) out of %zu", toString(space), addr,
-                 addr + len, s.size());
-    return s.data() + addr;
+                 addr + len, words_[s]);
+    // A size-only memory has no base pointer to offset.
+    return withData_ ? data_[s].data() + addr : nullptr;
 }
 
 float *
@@ -90,10 +80,19 @@ TileMemory::span(isa::Space space, std::uint32_t addr, std::uint32_t len)
     return const_cast<float *>(p);
 }
 
+float *
+TileMemory::dataSpan(isa::Space space, std::uint32_t addr,
+                     std::uint32_t len) const
+{
+    MANNA_ASSERT(withData_, "%s access to a size-only tile memory",
+                 toString(space));
+    return const_cast<float *>(span(space, addr, len));
+}
+
 std::size_t
 TileMemory::words(isa::Space space) const
 {
-    return storage(space).size();
+    return words_[index(space)];
 }
 
 } // namespace manna::sim

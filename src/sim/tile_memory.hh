@@ -7,6 +7,11 @@
  * held in the tile). Sizes are set by the compiled layout; capacity
  * violations against the hardware configuration are reported by the
  * compiler, not here.
+ *
+ * A size-only memory (the timing-only chip's, sim/chip.hh) keeps the
+ * per-space sizes and every bounds check but allocates no storage:
+ * span() checks the range and returns nullptr, and the data accessors
+ * (read, write, readRange, writeRange) must not be called on it.
  */
 
 #ifndef MANNA_SIM_TILE_MEMORY_HH
@@ -25,9 +30,11 @@ namespace manna::sim
 class TileMemory
 {
   public:
-    /** Construct with per-space word counts. */
+    /** Construct with per-space word counts; zero-filled, or
+     * size-only when @p withData is false. */
     TileMemory(std::size_t matBufWords, std::size_t matSpadWords,
-               std::size_t vecBufWords, std::size_t vecSpadWords);
+               std::size_t vecBufWords, std::size_t vecSpadWords,
+               bool withData = true);
 
     /** Read one word (bounds-checked). */
     float read(isa::Space space, std::uint32_t addr) const;
@@ -43,7 +50,8 @@ class TileMemory
     void writeRange(isa::Space space, std::uint32_t addr,
                     const std::vector<float> &values);
 
-    /** Direct span access for the interpreter's inner loops. */
+    /** Direct span access for the interpreter's inner loops
+     * (bounds-checked; nullptr on a size-only memory). */
     const float *span(isa::Space space, std::uint32_t addr,
                       std::uint32_t len) const;
     float *span(isa::Space space, std::uint32_t addr, std::uint32_t len);
@@ -51,13 +59,16 @@ class TileMemory
     std::size_t words(isa::Space space) const;
 
   private:
-    std::vector<float> &storage(isa::Space space);
-    const std::vector<float> &storage(isa::Space space) const;
+    /** Index of @p space into words_/data_; panics on Space::None. */
+    static std::size_t index(isa::Space space);
 
-    std::vector<float> matBuf_;
-    std::vector<float> matSpad_;
-    std::vector<float> vecBuf_;
-    std::vector<float> vecSpad_;
+    /** span() on a memory that must hold data. */
+    float *dataSpan(isa::Space space, std::uint32_t addr,
+                    std::uint32_t len) const;
+
+    std::size_t words_[4];
+    std::vector<float> data_[4]; ///< empty when size-only
+    bool withData_;
 };
 
 } // namespace manna::sim

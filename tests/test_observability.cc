@@ -329,8 +329,7 @@ TEST(ChromeTrace, ValidSortedAndTrackMapped)
     const auto model = compiler::compileCached(bench.config, hw);
 
     sim::TraceLogger logger(1 << 20);
-    runCompiled(bench, *model, /*steps=*/1, /*seed=*/1, nullptr,
-                &logger);
+    runCompiled(*model, /*steps=*/1, nullptr, &logger);
     ASSERT_FALSE(logger.entries().empty());
     EXPECT_EQ(logger.dropped(), 0u);
 
@@ -550,10 +549,9 @@ TEST(ProfileJson, DeterministicAndNamesTheSfuAtTheFig12Point)
     const auto &bench = workloads::benchmarkByName("copy");
     const arch::MannaConfig hw = arch::MannaConfig::withTiles(16);
     const std::string a =
-        renderProfileJson(bench, hw, /*steps=*/1, /*seed=*/1,
-                          /*topN=*/5);
+        renderProfileJson(bench, hw, /*steps=*/1, /*topN=*/5);
     const std::string b =
-        renderProfileJson(bench, hw, 1, 1, 5);
+        renderProfileJson(bench, hw, 1, 5);
     EXPECT_EQ(a, b); // no wall-clock inside: byte-identical
     EXPECT_TRUE(jsonValidate(a));
     EXPECT_NE(a.find("manna-profile-v1"), std::string::npos);

@@ -251,12 +251,12 @@ TEST(CancelToken, ChipHonorsCancellation)
     // A pre-fired token stops the simulation at the first step...
     CancelToken fired;
     fired.cancel();
-    EXPECT_THROW(runCompiled(bench, *model, 2, 1, &fired), SimError);
+    EXPECT_THROW(runCompiled(*model, 2, &fired), SimError);
 
     // ...and a token that never fires must not perturb results.
     CancelToken idle;
-    const auto with = runCompiled(bench, *model, 2, 1, &idle);
-    const auto without = runCompiled(bench, *model, 2, 1);
+    const auto with = runCompiled(*model, 2, &idle);
+    const auto without = runCompiled(*model, 2);
     EXPECT_EQ(encodeResult(with), encodeResult(without));
 }
 
@@ -303,7 +303,7 @@ TEST(Journal, EncodeDecodeRoundTripIsExact)
     const auto &bench = workloads::benchmarkByName("recall");
     const auto model = compiler::compileCached(
         bench.config, arch::MannaConfig::withTiles(4));
-    const auto result = runCompiled(bench, *model, 2, 1);
+    const auto result = runCompiled(*model, 2);
 
     const std::string line = encodeResult(result);
     const auto decoded = decodeResult(line);

@@ -35,6 +35,7 @@
 #include "common/net.hh"
 #include "common/strutil.hh"
 #include "common/subprocess.hh"
+#include "compiler/compile_cache.hh"
 #include "harness/client.hh"
 #include "harness/journal.hh"
 #include "harness/observe.hh"
@@ -510,6 +511,38 @@ TEST(Service, ResubmittedFingerprintsAreAnsweredFromTheResultCache)
     EXPECT_EQ(outcomeFingerprints(first), outcomeFingerprints(second));
     EXPECT_EQ(daemon->completedJobs(), jobs.size());
     EXPECT_EQ(daemon->journalHits(), jobs.size());
+}
+
+TEST(Service, ResultCacheEvictsTheLeastRecentlyUsedPoint)
+{
+    // cache_entries=2 bounds the result cache like the compile cache:
+    // after three distinct points the first one is gone.
+    const auto jobs = miniSweep();
+    SweepRunner runner(1);
+
+    server::ServerOptions sopts;
+    sopts.address = uniqueSocketPath();
+    sopts.pool = 1;
+    sopts.cacheEntries = 2;
+    ScopedServer daemon(sopts);
+
+    SweepOptions opts;
+    opts.server = daemon->boundAddress();
+    const auto submit = [&](std::size_t i) {
+        return client::runServerSweep(runner, {jobs[i]}, opts);
+    };
+    for (std::size_t i = 0; i < 3; ++i)
+        submit(i);
+    EXPECT_EQ(daemon->completedJobs(), 3u);
+    EXPECT_EQ(daemon->journalHits(), 0u);
+
+    submit(0); // evicted: simulated again
+    EXPECT_EQ(daemon->completedJobs(), 4u);
+    EXPECT_EQ(daemon->journalHits(), 0u);
+    submit(0); // now the latest point: a hit
+    EXPECT_EQ(daemon->completedJobs(), 4u);
+    EXPECT_EQ(daemon->journalHits(), 1u);
+    compiler::setCompileCacheCapacity(0); // the daemon set it
 }
 
 TEST(Service, AdmissionControlSendsRetryAfterAndStillCompletes)

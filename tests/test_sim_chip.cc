@@ -12,8 +12,11 @@
 #include "common/hash.hh"
 #include "common/strutil.hh"
 #include "compiler/compiler.hh"
+#include "compiler/dnc_codegen.hh"
 #include "mann/ntm.hh"
 #include "sim/chip.hh"
+#include "sim/dnc_chip.hh"
+#include "workloads/benchmarks.hh"
 
 namespace manna::sim
 {
@@ -331,6 +334,168 @@ TEST(Chip, RenderReportMentionsGroups)
     const std::string text = chip.report().render();
     EXPECT_NE(text.find("soft-read"), std::string::npos);
     EXPECT_NE(text.find("steps/J"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Timing-only chip: the report of a run with no tensor data must be
+// the functional chip's, bit for bit, under any seed and inputs.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+statsDigest(const RunReport &rep)
+{
+    const std::string json = rep.stats.toJson();
+    return Fnv1a().bytes(json.data(), json.size()).value();
+}
+
+void
+expectSameReport(const RunReport &timing, const RunReport &functional)
+{
+    EXPECT_EQ(timing.steps, functional.steps);
+    EXPECT_EQ(timing.totalCycles, functional.totalCycles);
+    EXPECT_EQ(timing.dynamicEnergyPj, functional.dynamicEnergyPj)
+        << strformat("%a vs %a", timing.dynamicEnergyPj,
+                     functional.dynamicEnergyPj);
+    EXPECT_EQ(timing.totalEnergyPj(), functional.totalEnergyPj());
+    ASSERT_EQ(timing.groups.size(), functional.groups.size());
+    for (const auto &[group, gs] : functional.groups) {
+        const auto it = timing.groups.find(group);
+        ASSERT_NE(it, timing.groups.end()) << mann::toString(group);
+        EXPECT_EQ(it->second.cycles, gs.cycles) << mann::toString(group);
+        EXPECT_EQ(it->second.energyPj, gs.energyPj)
+            << mann::toString(group);
+    }
+    EXPECT_EQ(timing.stats.size(), functional.stats.size());
+    EXPECT_EQ(statsDigest(timing), statsDigest(functional));
+}
+
+/** Report of a functional chip stepped @p steps times on random
+ * inputs drawn from @p seed (which also seeds its golden model). */
+template <typename FunctionalChip, typename Model>
+RunReport
+functionalReport(const Model &model, std::size_t inputDim,
+                 std::uint64_t seed, Fidelity fidelity, std::size_t steps)
+{
+    FunctionalChip chip(model, seed, fidelity);
+    Rng rng(seed * 31 + 1);
+    for (std::size_t t = 0; t < steps; ++t) {
+        FVec x(inputDim);
+        for (auto &v : x)
+            v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        chip.step(x);
+    }
+    return chip.report();
+}
+
+/** Cycle fidelity at 3 steps and fast fidelity at 6 (2 calibration
+ * steps, 4 extrapolated), each against two seeds. */
+template <typename FunctionalChip, typename Model>
+void
+expectTimingOnlyMatches(const Model &model, std::size_t inputDim)
+{
+    const std::pair<Fidelity, std::size_t> runs[] = {
+        {Fidelity::Cycle, 3}, {Fidelity::Fast, 6}};
+    for (const auto &[fidelity, steps] : runs) {
+        TimingChip timing(model, fidelity);
+        timing.run(steps);
+        const RunReport rep = timing.report();
+        for (const std::uint64_t seed : {1ull, 977ull}) {
+            SCOPED_TRACE(strformat("fidelity=%s steps=%zu seed=%llu",
+                                   toString(fidelity), steps,
+                                   static_cast<unsigned long long>(seed)));
+            expectSameReport(rep, functionalReport<FunctionalChip>(
+                                      model, inputDim, seed, fidelity,
+                                      steps));
+        }
+    }
+}
+
+void
+expectTable2Matches(const std::string &name, std::size_t tiles)
+{
+    SCOPED_TRACE(strformat("%s at %zu tiles", name.c_str(), tiles));
+    const auto &bench = workloads::benchmarkByName(name);
+    const auto model = compiler::compile(
+        bench.config, arch::MannaConfig::withTiles(tiles));
+    expectTimingOnlyMatches<Chip>(model, bench.config.inputDim);
+}
+
+TEST(TimingOnly, EveryTable2ModelMatchesChipAt16Tiles)
+{
+    for (const auto &bench : workloads::table2Suite())
+        expectTable2Matches(bench.name, 16);
+}
+
+TEST(TimingOnly, MatchesChipAt4And64Tiles)
+{
+    for (const char *name : {"recall", "sort"})
+        for (const std::size_t tiles : {4, 64})
+            expectTable2Matches(name, tiles);
+}
+
+// The DNC's allocation scan sorts the reduced usage vector: the one
+// place where data could reach timing.
+TEST(TimingOnly, DncMatchesDncChip)
+{
+    mann::DncConfig dc;
+    dc.memN = 64;
+    dc.memM = 16;
+    dc.numReadHeads = 2;
+    dc.controllerWidth = 32;
+    dc.inputDim = 6;
+    dc.outputDim = 5;
+    const auto model =
+        compiler::compileDnc(dc, arch::MannaConfig::withTiles(4));
+    expectTimingOnlyMatches<DncChip>(model, dc.inputDim);
+}
+
+TEST(TimingOnly, ChromeTraceIsByteIdentical)
+{
+    const MannConfig mc = makeConfig(64, 16, 2, 1);
+    const auto model =
+        compiler::compile(mc, arch::MannaConfig::withTiles(4));
+    TraceLogger functionalLog(1 << 20);
+    Chip chip(model, 3);
+    chip.attachTrace(&functionalLog);
+    chip.run({FVec(mc.inputDim, 0.5f), FVec(mc.inputDim, -0.25f)});
+
+    TraceLogger timingLog(1 << 20);
+    TimingChip timing(model);
+    timing.attachTrace(&timingLog);
+    timing.run(2);
+
+    ASSERT_FALSE(timingLog.entries().empty());
+    EXPECT_EQ(timingLog.dropped(), 0u);
+    EXPECT_EQ(timingLog.renderChromeTrace(),
+              functionalLog.renderChromeTrace());
+}
+
+TEST(TimingOnly, TilesHoldNoDataButCheckBounds)
+{
+    arch::MannaConfig cfg = arch::MannaConfig::withTiles(4);
+    arch::EnergyModel energy(cfg);
+    DiffMemTile tile(cfg, energy, 0, TileLayoutSizes{64, 64, 64, 64},
+                     ExecMode::TimingOnly);
+    EXPECT_EQ(tile.memory().words(isa::Space::VecBuf), 64u);
+    EXPECT_EQ(tile.memory().span(isa::Space::VecBuf, 0, 64), nullptr);
+
+    isa::Program ok;
+    isa::Instruction fill;
+    fill.op = isa::Opcode::Fill;
+    fill.dst = isa::makeOperand(isa::Space::VecBuf, 48, 16);
+    ok.append(fill);
+    tile.setProgram(&ok);
+    EXPECT_EQ(tile.runUntilComm(), RunStatus::Done);
+    EXPECT_EQ(tile.counter(TileCounter::Instructions), 1.0);
+    EXPECT_GT(tile.energyPj(), 0.0);
+
+    isa::Program bad;
+    fill.dst = isa::makeOperand(isa::Space::VecBuf, 60, 16);
+    bad.append(fill);
+    tile.setProgram(&bad);
+    EXPECT_DEATH(tile.runUntilComm(), "out of");
+    EXPECT_DEATH(tile.memory().read(isa::Space::VecBuf, 0),
+                 "size-only");
 }
 
 } // namespace

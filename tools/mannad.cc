@@ -18,7 +18,8 @@
  *   metrics=PATH      manna-daemon-metrics-v1 JSONL series
  *   metrics_interval= sampling period in seconds (default 1)
  *   events=PATH       daemon event-log (merged into client traces)
- *   cache_entries=N   compile-cache bound, 0 = unbounded
+ *   cache_entries=N   compile- and result-cache entry bound (LRU),
+ *                     0 = unbounded
  *   faults=SPEC       fault injection (docs/ROBUSTNESS.md)
  */
 
@@ -48,7 +49,7 @@ main(int argc, char **argv)
         if (opts.address.empty())
             fatal("usage: mannad server=unix:/path|tcp:host:port "
                   "[pool=N] [queue_depth=N] [clients=N] [stats=PATH] "
-                  "[metrics=PATH] [events=PATH]");
+                  "[metrics=PATH] [events=PATH] [cache_entries=N]");
         installShutdownHandlers();
         daemon = std::make_unique<server::Server>(std::move(opts));
         daemon->start();
