@@ -35,7 +35,7 @@ echo "OK: parallel sweep output byte-identical to serial"
 # fidelity=fast must render the same table as cycle mode: tensor
 # results are bit-identical by contract and per-step cycle costs are
 # steady, so even the cycle columns agree. steps=4 so the run actually
-# leaves calibration (2 steps) and executes from the replay tape.
+# leaves calibration (2 steps) and extrapolates the rest.
 run_budgeted "$BIN" bench=recall steps=4 jobs=1 fidelity=cycle \
     > "$OUTDIR/cycle.txt"
 run_budgeted "$BIN" bench=recall steps=4 jobs=1 fidelity=fast \

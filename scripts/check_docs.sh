@@ -7,7 +7,9 @@
 #     literal in the C++ sources (so docs cannot drift from the
 #     Config keys the binaries actually parse);
 #  3. every MANNA_* environment variable mentioned exists in the
-#     sources or scripts;
+#     sources or scripts, and every MANNA_* name the sources read
+#     (a "MANNA_..." string literal: the getenv names, passed
+#     directly or through a helper) is mentioned;
 #  4. (only with a bench binary as $1) the counter catalog of
 #     docs/OBSERVABILITY.md matches, in both directions, the
 #     registry keys a golden fig12_strong_scaling run emits;
@@ -78,6 +80,18 @@ for var in $envs; do
             CMakeLists.txt; then
         complain "env var '$var' documented but not found in sources"
     fi
+done
+# The reverse direction: a variable the binaries read must be
+# documented somewhere, so a new one cannot land undocumented.
+read_envs=$(grep -rohE '"MANNA_[A-Z0-9_]+"' --include='*.cc' \
+                --include='*.hh' src bench tools examples |
+            tr -d '"' | sort -u)
+[ -n "$read_envs" ] ||
+    complain "no MANNA_* environment variables found in sources"
+for var in $read_envs; do
+    printf '%s\n' "$envs" | grep -qxF "$var" ||
+        complain "env var '$var' read by the sources but not" \
+                 "documented in README.md or docs/*.md"
 done
 
 # --- 4. counter catalog vs a golden run ----------------------------

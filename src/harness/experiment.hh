@@ -65,7 +65,7 @@ MannaResult simulateManna(const workloads::Benchmark &benchmark,
  * (capacity warnings stay on the model for the caller to report).
  *
  * The run is timing-only (sim::TimingChip): no golden model, no tile
- * storage, no tensor math and no replay tape. Its report equals that
+ * storage and no tensor math. Its report equals that
  * of a functional sim::Chip run of the same steps under any seed and
  * inputs, because compiled programs have no data-dependent control
  * flow. Per-step outputs, read vectors and gathered memory need a

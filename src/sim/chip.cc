@@ -246,10 +246,7 @@ void
 ChipCore::reset()
 {
     for (auto &tile : tiles_) {
-        tile->memory() =
-            TileMemory(sizes_.matBufWords, sizes_.matSpadWords,
-                       sizes_.vecBufWords, sizes_.vecSpadWords,
-                       !timingOnly_);
+        tile->memory().clear();
         tile->reset();
         tile->setExecMode(interpretMode());
     }
@@ -260,7 +257,6 @@ ChipCore::reset()
                         tensor::FVec(shape_.memM, 0.0f));
     nocBuffer_.clear();
     nocWords_ = 0;
-    tape_.clear();
     chipTime_ = 0;
     nocEnergyPj_ = 0.0;
     ctrlEnergyPj_ = 0.0;
@@ -343,7 +339,7 @@ ChipCore::advance()
     checkCancelled();
     if (timingOnly_ && fastActive_) {
         // Past the calibration prefix only the step count moves:
-        // report() extrapolates, and there is no data to replay.
+        // report() extrapolates, and there is no data to compute.
         ++steps_;
         return;
     }
@@ -364,26 +360,13 @@ ChipCore::advance()
     }
 
     // ---- DiffMem tile segments ----
-    if (tape_.ready()) {
-        runTape();
-    } else {
-        for (const auto &segment : segments_)
-            runSegment(segment);
-    }
+    for (const auto &segment : segments_)
+        runSegment(segment);
 
     ++steps_;
     if (fidelity_ == Fidelity::Fast && !fastActive_) {
         if (steps_ == kFastCalibrationSteps - 1) {
             calib1_ = cycleReport();
-            // Record the replay tape during the last calibration step:
-            // recording is orthogonal to timing (runFunctional appends
-            // the same resolved ops in every fidelity), so the first
-            // fast step can already replay.
-            if (!timingOnly_) {
-                tape_.startRecording();
-                for (auto &tile : tiles_)
-                    tile->setReplayTape(&tape_);
-            }
         } else if (steps_ == kFastCalibrationSteps) {
             calib2_ = cycleReport();
             activateFastMode();
@@ -397,34 +380,8 @@ ChipCore::activateFastMode()
     fastActive_ = true;
     if (timingOnly_)
         return; // the tiles never run again
-    tape_.finishRecording();
-    for (auto &tile : tiles_) {
-        tile->setReplayTape(nullptr);
+    for (auto &tile : tiles_)
         tile->setExecMode(ExecMode::DataOnly);
-    }
-}
-
-void
-ChipCore::runTape()
-{
-    for (const ReplayOp &op : tape_.ops()) {
-        switch (op.kind) {
-          case ReplayKind::Copy2d:
-          case ReplayKind::Vmm:
-          case ReplayKind::Elementwise:
-          case ReplayKind::Sfu:
-          case ReplayKind::FusedRowUpdate:
-            execTileOp(op, &tape_);
-            break;
-          case ReplayKind::UsageToAlloc:
-            nocBuffer_ = mann::dncAllocationFromUsage(nocBuffer_);
-            break;
-          default:
-            execCommOp(op, tape_, nocBuffer_, readVectors_,
-                       pendingHidden_);
-            break;
-        }
-    }
 }
 
 std::vector<tensor::FVec>
@@ -526,19 +483,6 @@ ChipCore::handleComm(const Instruction &inst)
             Noc::combineInto(commStage_, inst.flags.reduceOp,
                              nocBuffer_);
         }
-        if (tape_.recording()) {
-            commSrcPtrs_.clear();
-            for (auto &tile : tiles_)
-                commSrcPtrs_.push_back(tile->operandSpan(inst.srcA));
-            ReplayOp rop;
-            rop.kind = ReplayKind::Reduce;
-            rop.n = static_cast<std::uint32_t>(words);
-            rop.rows = static_cast<std::uint32_t>(tiles_.size());
-            rop.pitchA = tape_.appendSrcPtrs(commSrcPtrs_);
-            if (inst.flags.reduceOp != isa::ReduceOp::Sum)
-                rop.flags |= kReplayReduceMax;
-            tape_.append(rop);
-        }
         if (!fastActive_) {
             nocEnergyPj_ += noc_.reduceEnergyPj(words);
             noc_.recordReduce(words, noc_.reduceCycles(words));
@@ -552,13 +496,6 @@ ChipCore::handleComm(const Instruction &inst)
             if (!timingOnly_)
                 readVectors_[h].assign(nocBuffer_.begin(),
                                        nocBuffer_.end());
-            if (tape_.recording()) {
-                ReplayOp rop;
-                rop.kind = ReplayKind::ReadVectorOut;
-                rop.n = static_cast<std::uint32_t>(words);
-                rop.rows = h;
-                tape_.append(rop);
-            }
         } else if (tag == CommTag::UsageToAllocation) {
             // DNC only: the Controller tile runs the free-list scan on
             // the reduced usage vector with the golden model's own
@@ -570,12 +507,6 @@ ChipCore::handleComm(const Instruction &inst)
             const auto n = static_cast<std::uint32_t>(words);
             if (!timingOnly_)
                 nocBuffer_ = mann::dncAllocationFromUsage(nocBuffer_);
-            if (tape_.recording()) {
-                ReplayOp rop;
-                rop.kind = ReplayKind::UsageToAlloc;
-                rop.n = n;
-                tape_.append(rop);
-            }
             if (!fastActive_) {
                 chipTime_ += static_cast<Cycle>(n) *
                              std::max<std::uint32_t>(log2Ceil(n), 1);
@@ -606,22 +537,9 @@ ChipCore::handleComm(const Instruction &inst)
                      words, nocWords_);
         for (auto &tile : tiles_) {
             if (timingOnly_)
-                tile->operandSpanMut(inst.dst); // bounds check only
+                tile->operandSpan(inst.dst); // bounds check only
             else
                 tile->writeOperand(inst.dst, nocBuffer_);
-        }
-        if (tape_.recording()) {
-            commDstPtrs_.clear();
-            for (auto &tile : tiles_)
-                commDstPtrs_.push_back(tile->operandSpanMut(inst.dst));
-            ReplayOp rop;
-            rop.kind = ReplayKind::Broadcast;
-            rop.n = static_cast<std::uint32_t>(words);
-            rop.rows = static_cast<std::uint32_t>(tiles_.size());
-            rop.pitchA = tape_.appendDstPtrs(commDstPtrs_);
-            if (tag == CommTag::HiddenIn)
-                rop.flags |= kReplayHiddenIn;
-            tape_.append(rop);
         }
         if (!fastActive_) {
             nocEnergyPj_ += noc_.broadcastEnergyPj(words);

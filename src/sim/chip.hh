@@ -5,8 +5,8 @@
  *
  * ChipCore is the one chip driver: it owns the tiles, NoC,
  * Controller-tile timing model and energy model, and runs the step
- * loop, the segment/communication scheduler, fast-mode calibration and
- * tape replay, and report assembly for every compiled MANN. Chip (the
+ * loop, the segment/communication scheduler, fast-mode calibration,
+ * and report assembly for every compiled MANN. Chip (the
  * NTM) and DncChip (sim/dnc_chip.hh) are thin shells over it that
  * supply only their golden model, the state load and the gather
  * methods for validation.
@@ -225,11 +225,9 @@ class ChipCore
      * calibration snapshots in fast mode). */
     RunReport cycleReport() const;
     /** After the calibration prefix, switch every tile to
-     * functional-only execution (the replay tape is recorded during
-     * the last calibration step; sim/replay.hh). */
+     * functional-only execution (ExecMode::DataOnly): later steps
+     * interpret the same instructions with no timing bookkeeping. */
     void activateFastMode();
-    /** Execute one time step from the recorded tape. */
-    void runTape();
 
     const arch::MannaConfig &arch_;
     const TileLayoutSizes sizes_;
@@ -270,13 +268,6 @@ class ChipCore
     bool fastActive_ = false;
     RunReport calib1_;
     RunReport calib2_;
-
-    // fidelity=fast step-replay tape: recorded during the last
-    // calibration step, replayed for every later step. The ptr
-    // scratch vectors stage per-tile comm spans while recording.
-    ReplayTape tape_;
-    std::vector<const float *> commSrcPtrs_;
-    std::vector<float *> commDstPtrs_;
 
     const CancelToken *cancel_ = nullptr;
 };

@@ -11,11 +11,14 @@
  * steps run with full cycle accounting, and because every instruction
  * duration in the timing model depends only on static operand shapes
  * (never on data values), the per-step cost reaches a steady state
- * immediately — the remaining steps execute functionally only (a
- * timing-only chip just counts them) and the final RunReport
- * extrapolates every counter linearly from the calibration delta. The report carries the same stats key set as
- * cycle mode plus fidelity.* markers, including an op_counter-derived
- * peak-rate estimate (fidelity.analytic_cycles_per_step) for
+ * immediately. The remaining steps run the same interpreter with the
+ * tiles in ExecMode::DataOnly (sim/tile.hh): tensor math and comm
+ * data movement only, no timelines, stalls, energy or counters (a
+ * timing-only chip just counts them). The final RunReport
+ * extrapolates every counter linearly from the calibration delta and
+ * carries the same stats key set as cycle mode plus fidelity.*
+ * markers, including an op_counter-derived peak-rate estimate
+ * (fidelity.analytic_cycles_per_step, emitted in both fidelities) for
  * cross-checking the calibration against the pure analytic model.
  */
 

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.hh"
 #include "tensor/dispatch.hh"
+#include "tensor/vector_ops.hh"
 
 namespace manna::sim
 {
@@ -194,30 +193,10 @@ execSfu(const ReplayOp &op)
     }
 }
 
-/** The soft-write quad in one pass: per element, the exact same
- * operation sequence as the four unfused ops, including the final
- * stage values (the TU is compiled with -ffp-contract=off, so no FMA
- * contraction can make the fused chain round differently). */
-void
-execFusedRowUpdate(const ReplayOp &op, const ReplayTape &tape)
-{
-    const float *add = tape.srcPtrs(op.pitchA)[0];
-    tensor::simd::kernels().rowUpdate(op.a, add, op.b[0], op.imm,
-                                      op.d, op.dn, op.n);
-}
-
-/** Half-open span overlap test for the fusion pass's alias checks. */
-bool
-overlaps(const float *a, std::uint32_t an, const float *b,
-         std::uint32_t bn)
-{
-    return a < b + bn && b < a + an;
-}
-
 } // namespace
 
 void
-execTileOp(const ReplayOp &op, const ReplayTape *tape)
+execTileOp(const ReplayOp &op)
 {
     switch (op.kind) {
       case ReplayKind::Copy2d:
@@ -236,425 +215,6 @@ execTileOp(const ReplayOp &op, const ReplayTape *tape)
       case ReplayKind::Sfu:
         execSfu(op);
         break;
-      case ReplayKind::FusedRowUpdate:
-        MANNA_ASSERT(tape != nullptr,
-                     "FusedRowUpdate needs the owning tape");
-        execFusedRowUpdate(op, *tape);
-        break;
-      default:
-        panic("execTileOp on a chip-level replay op");
-    }
-}
-
-void
-ReplayTape::fuseRowUpdates()
-{
-    if (ops_.size() < 4)
-        return;
-    std::vector<ReplayOp> fused;
-    fused.reserve(ops_.size());
-    std::size_t i = 0;
-    while (i < ops_.size()) {
-        if (i + 3 < ops_.size()) {
-            const ReplayOp &o1 = ops_[i];     // stage = e * w
-            const ReplayOp &o2 = ops_[i + 1]; // stage = c - stage
-            const ReplayOp &o3 = ops_[i + 2]; // row = row * stage
-            const ReplayOp &o4 = ops_[i + 3]; // row += a * w
-            const std::uint32_t n = o1.n;
-            const bool shape =
-                o1.kind == ReplayKind::Elementwise &&
-                o1.op == Opcode::EwMul && o1.pitchA == n &&
-                o1.pitchD == 1 &&
-                o2.kind == ReplayKind::Elementwise &&
-                o2.op == Opcode::EwRsubImm && o2.n == n &&
-                o2.pitchA == n && o2.a == o1.d && o2.d == o1.d &&
-                o3.kind == ReplayKind::Elementwise &&
-                o3.op == Opcode::EwMul && o3.n == n &&
-                o3.pitchA == n && o3.pitchD == n && o3.a == o3.d &&
-                o3.b == o1.d &&
-                o4.kind == ReplayKind::Elementwise &&
-                o4.op == Opcode::EwMac && o4.n == n &&
-                o4.pitchA == n && o4.pitchD == 1 && o4.d == o3.d &&
-                o4.b == o1.b;
-            // The fused kernel writes row[] and stage[] interleaved
-            // instead of pass-by-pass, so every source span must be
-            // disjoint from both written spans (they are in the
-            // compiler's layout — distinct memory spaces — but the
-            // tape only sees raw pointers, so verify).
-            const bool aliasFree =
-                shape &&
-                !overlaps(o3.d, n, o1.d, n) &&     // row vs stage
-                !overlaps(o1.a, n, o1.d, n) &&     // e vs stage
-                !overlaps(o1.a, n, o3.d, n) &&     // e vs row
-                !overlaps(o4.a, n, o1.d, n) &&     // add vs stage
-                !overlaps(o4.a, n, o3.d, n) &&     // add vs row
-                !overlaps(o1.b, 1, o1.d, n) &&     // w vs stage
-                !overlaps(o1.b, 1, o3.d, n);       // w vs row
-            if (aliasFree) {
-                ReplayOp rop;
-                rop.kind = ReplayKind::FusedRowUpdate;
-                rop.n = n;
-                rop.imm = o2.imm;
-                rop.a = o1.a;                     // erase row
-                rop.b = o1.b;                     // w scalar
-                rop.d = o3.d;                     // memory row
-                rop.dn = o1.d;                    // stage
-                rop.pitchA = static_cast<std::uint32_t>(
-                    srcPool_.size());             // add-vector row
-                srcPool_.push_back(o4.a);
-                fused.push_back(rop);
-                i += 4;
-                continue;
-            }
-        }
-        fused.push_back(ops_[i]);
-        ++i;
-    }
-    if (std::getenv("MANNA_REPLAY_DEBUG") != nullptr)
-        std::fprintf(stderr, "replay: %zu ops -> %zu after fusion\n",
-                     ops_.size(), fused.size());
-    ops_ = std::move(fused);
-}
-
-void
-ReplayTape::elideStaging()
-{
-    // One matched blocked-sweep group. ops_[begin] is the load; for
-    // soft-write groups ops_[end - 1] is the mirror store.
-    struct Group
-    {
-        std::size_t begin = 0;
-        std::size_t end = 0;
-        const float *buf = nullptr;
-        std::size_t bufLen = 0;
-        float *spadMut = nullptr; // non-null only for soft-write
-        const float *spad = nullptr;
-        std::size_t spadLen = 0;
-        std::uint32_t spadPitch = 0;
-        std::uint32_t bufPitch = 0;
-        bool softWrite = false;
-        int cluster = -1;
-    };
-
-    std::vector<Group> groups;
-    std::vector<int> groupOf(ops_.size(), -1);
-
-    // Enumerate every memory span an op reads or writes.
-    auto forEachSpan = [&](const ReplayOp &op, auto &&fn) {
-        switch (op.kind) {
-          case ReplayKind::Copy2d:
-            fn(op.a, std::size_t(op.rows - 1) * op.pitchA + op.n);
-            fn(op.d, std::size_t(op.rows - 1) * op.pitchD + op.n);
-            break;
-          case ReplayKind::Vmm: {
-            const bool rowDot = (op.flags & kReplayRowDot) != 0;
-            fn(op.b, std::size_t(op.rows - 1) * op.pitchA + op.n);
-            fn(op.a, std::size_t(rowDot ? op.n : op.rows));
-            fn(op.d, std::size_t(rowDot ? op.rows : op.n));
-            if (op.dn != nullptr)
-                fn(op.dn, std::size_t(op.rows));
-            break;
-          }
-          case ReplayKind::Elementwise:
-            if (op.a != nullptr)
-                fn(op.a, std::size_t(op.pitchA));
-            if (op.b != nullptr)
-                fn(op.b, std::size_t(op.pitchD));
-            fn(op.d, std::size_t(op.n));
-            break;
-          case ReplayKind::Sfu:
-            fn(op.a, std::size_t(op.n));
-            if (op.b != nullptr)
-                fn(op.b, std::size_t(1));
-            // The accumulating SFU forms reduce to a scalar dst.
-            fn(op.d, op.op == Opcode::SfuAccSum ||
-                             op.op == Opcode::SfuAccMax
-                         ? std::size_t(1)
-                         : std::size_t(op.n));
-            break;
-          case ReplayKind::FusedRowUpdate:
-            fn(op.a, std::size_t(op.n));
-            fn(op.b, std::size_t(1));
-            fn(op.d, std::size_t(op.n));
-            fn(op.dn, std::size_t(op.n));
-            fn(srcPool_[op.pitchA], std::size_t(op.n));
-            break;
-          case ReplayKind::Reduce:
-            for (std::uint32_t t = 0; t < op.rows; ++t)
-                fn(srcPool_[op.pitchA + t], std::size_t(op.n));
-            break;
-          case ReplayKind::Broadcast:
-            for (std::uint32_t t = 0; t < op.rows; ++t)
-                fn(dstPool_[op.pitchA + t], std::size_t(op.n));
-            break;
-          case ReplayKind::ReadVectorOut:
-          case ReplayKind::UsageToAlloc:
-            break;
-        }
-    };
-    auto touchesRegion = [&](const ReplayOp &op, const float *lo,
-                             std::size_t len) {
-        bool hit = false;
-        forEachSpan(op, [&](const float *p, std::size_t sl) {
-            if (p != nullptr && overlaps(p, sl, lo, len))
-                hit = true;
-        });
-        return hit;
-    };
-
-    std::size_t i = 0;
-    while (i < ops_.size()) {
-        const ReplayOp &ld = ops_[i];
-        const std::uint32_t R = ld.rows;
-        const std::uint32_t n = ld.n;
-        const std::uint32_t pp = ld.pitchA;
-        const std::uint32_t bp = ld.pitchD;
-        if (ld.kind != ReplayKind::Copy2d || R == 0 || bp < n ||
-            pp < n) {
-            ++i;
-            continue;
-        }
-        const float *buf = ld.d;
-        const float *spad = ld.a;
-        const std::size_t bufLen = std::size_t(R - 1) * bp + n;
-        const std::size_t spadLen = std::size_t(R - 1) * pp + n;
-        if (overlaps(spad, spadLen, buf, bufLen)) {
-            ++i;
-            continue;
-        }
-
-        Group g;
-        g.begin = i;
-        g.buf = buf;
-        g.bufLen = bufLen;
-        g.spad = spad;
-        g.spadLen = spadLen;
-        g.spadPitch = pp;
-        g.bufPitch = bp;
-
-        // Soft-write shape: R fused row updates then the mirror store.
-        // Every non-block operand must be disjoint from both regions,
-        // and spad rows must not overlap each other (pp >= n above),
-        // or the in-place update would read its own earlier writes.
-        if (i + R + 1 < ops_.size()) {
-            bool ok = true;
-            for (std::uint32_t k = 0; ok && k < R; ++k) {
-                const ReplayOp &f = ops_[i + 1 + k];
-                ok = f.kind == ReplayKind::FusedRowUpdate &&
-                     f.n == n && f.d == buf + std::size_t(k) * bp;
-                if (!ok)
-                    break;
-                const float *add = srcPool_[f.pitchA];
-                ok = !overlaps(f.a, n, spad, spadLen) &&
-                     !overlaps(f.a, n, buf, bufLen) &&
-                     !overlaps(add, n, spad, spadLen) &&
-                     !overlaps(add, n, buf, bufLen) &&
-                     !overlaps(f.b, 1, spad, spadLen) &&
-                     !overlaps(f.b, 1, buf, bufLen) &&
-                     !overlaps(f.dn, n, spad, spadLen) &&
-                     !overlaps(f.dn, n, buf, bufLen);
-            }
-            if (ok) {
-                const ReplayOp &st = ops_[i + 1 + R];
-                if (st.kind == ReplayKind::Copy2d && st.a == buf &&
-                    st.d == spad && st.n == n && st.rows == R &&
-                    st.pitchA == bp && st.pitchD == pp) {
-                    g.end = i + R + 2;
-                    g.spadMut = st.d;
-                    g.softWrite = true;
-                }
-            }
-        }
-
-        // Read-only shape: Vmm ops over the staged block, possibly
-        // interleaved with ops that never touch the buffer (the
-        // codegen loads each head's key vector between Vmms). The
-        // group ends at the last such Vmm; a cap bounds the scan.
-        if (g.end == 0) {
-            std::size_t lastVmm = 0;
-            std::size_t j = i + 1;
-            const std::size_t scanLimit =
-                std::min(ops_.size(), i + 1 + 256);
-            while (j < scanLimit) {
-                const ReplayOp &f = ops_[j];
-                const bool blockVmm =
-                    f.kind == ReplayKind::Vmm && f.b == buf &&
-                    f.pitchA == bp && f.rows == R && f.n == n;
-                if (blockVmm) {
-                    const bool rowDot = (f.flags & kReplayRowDot) != 0;
-                    const std::uint32_t aLen = rowDot ? n : R;
-                    const std::uint32_t dLen = rowDot ? R : n;
-                    const bool clean =
-                        !overlaps(f.a, aLen, spad, spadLen) &&
-                        !overlaps(f.a, aLen, buf, bufLen) &&
-                        !overlaps(f.d, dLen, spad, spadLen) &&
-                        !overlaps(f.d, dLen, buf, bufLen) &&
-                        (f.dn == nullptr ||
-                         (!overlaps(f.dn, R, spad, spadLen) &&
-                          !overlaps(f.dn, R, buf, bufLen)));
-                    if (!clean)
-                        break;
-                    lastVmm = j;
-                    ++j;
-                    continue;
-                }
-                if (touchesRegion(f, buf, bufLen) ||
-                    touchesRegion(f, spad, spadLen))
-                    break;
-                ++j;
-            }
-            if (lastVmm != 0)
-                g.end = lastVmm + 1;
-        }
-
-        if (g.end == 0) {
-            ++i;
-            continue;
-        }
-        const int id = static_cast<int>(groups.size());
-        for (std::size_t k = g.begin; k < g.end; ++k)
-            groupOf[k] = id;
-        groups.push_back(g);
-        i = g.end;
-    }
-
-    if (groups.empty())
-        return;
-
-    // Cluster candidate buffer regions into merged address intervals.
-    struct Interval
-    {
-        const float *lo;
-        const float *hi;
-    };
-    std::vector<Interval> ivs;
-    ivs.reserve(groups.size());
-    for (const auto &g : groups)
-        ivs.push_back({g.buf, g.buf + g.bufLen});
-    std::sort(ivs.begin(), ivs.end(),
-              [](const Interval &x, const Interval &y) {
-                  return x.lo < y.lo;
-              });
-    std::vector<Interval> clusters;
-    for (const auto &iv : ivs) {
-        if (!clusters.empty() && iv.lo <= clusters.back().hi)
-            clusters.back().hi = std::max(clusters.back().hi, iv.hi);
-        else
-            clusters.push_back(iv);
-    }
-    for (auto &g : groups) {
-        for (std::size_t c = 0; c < clusters.size(); ++c) {
-            if (g.buf >= clusters[c].lo && g.buf < clusters[c].hi) {
-                g.cluster = static_cast<int>(c);
-                break;
-            }
-        }
-    }
-
-    // A cluster stays elidable only if every span touching it belongs
-    // to one of its own groups.
-    std::vector<char> invalid(clusters.size(), 0);
-    auto touch = [&](std::size_t idx, const float *p, std::size_t len) {
-        if (p == nullptr || len == 0)
-            return;
-        const int g = groupOf[idx];
-        for (std::size_t c = 0; c < clusters.size(); ++c) {
-            if (invalid[c])
-                continue;
-            if (p < clusters[c].hi && clusters[c].lo < p + len &&
-                (g < 0 || groups[g].cluster != static_cast<int>(c))) {
-                invalid[c] = 1;
-                if (std::getenv("MANNA_REPLAY_DEBUG") != nullptr)
-                    std::fprintf(stderr,
-                                 "replay: staging cluster %zu kept "
-                                 "(touched by op %zu kind=%d)\n",
-                                 c, idx,
-                                 static_cast<int>(ops_[idx].kind));
-            }
-        }
-    };
-    for (std::size_t idx = 0; idx < ops_.size(); ++idx)
-        forEachSpan(ops_[idx], [&](const float *p, std::size_t len) {
-            touch(idx, p, len);
-        });
-
-    // Rewrite: drop dead copies, retarget compute at the spad rows.
-    std::vector<ReplayOp> out;
-    out.reserve(ops_.size());
-    std::size_t elided = 0;
-    for (std::size_t idx = 0; idx < ops_.size(); ++idx) {
-        const int gi = groupOf[idx];
-        if (gi < 0 || invalid[static_cast<std::size_t>(
-                          groups[gi].cluster)] != 0) {
-            out.push_back(ops_[idx]);
-            continue;
-        }
-        const Group &g = groups[gi];
-        if (idx == g.begin ||
-            (g.softWrite && idx == g.end - 1)) {
-            ++elided; // dead load / store
-            continue;
-        }
-        ReplayOp op = ops_[idx];
-        if (g.softWrite) {
-            const std::size_t k = idx - (g.begin + 1);
-            op.d = g.spadMut + k * g.spadPitch;
-        } else if (op.kind == ReplayKind::Vmm && op.b == g.buf) {
-            op.b = g.spad;
-            op.pitchA = g.spadPitch;
-        }
-        out.push_back(op);
-    }
-    if (std::getenv("MANNA_REPLAY_DEBUG") != nullptr)
-        std::fprintf(stderr,
-                     "replay: staging elision: %zu groups, "
-                     "%zu copies dropped, %zu ops -> %zu\n",
-                     groups.size(), elided, ops_.size(), out.size());
-    ops_ = std::move(out);
-}
-
-void
-execCommOp(const ReplayOp &op, const ReplayTape &tape,
-           std::vector<float> &nocBuffer,
-           std::vector<tensor::FVec> &readVectors,
-           const tensor::FVec &pendingHidden)
-{
-    switch (op.kind) {
-      case ReplayKind::Reduce: {
-        // Matches Noc::combineInto(): tile 0 seeds the buffer, later
-        // tiles fold in sequentially, so the accumulation order (and
-        // therefore every float bit) is identical to cycle mode.
-        const float *const *srcs = tape.srcPtrs(op.pitchA);
-        nocBuffer.assign(srcs[0], srcs[0] + op.n);
-        const bool isMax = (op.flags & kReplayReduceMax) != 0;
-        for (std::uint32_t t = 1; t < op.rows; ++t) {
-            const float *src = srcs[t];
-            if (isMax) {
-                for (std::uint32_t i = 0; i < op.n; ++i)
-                    nocBuffer[i] = std::max(nocBuffer[i], src[i]);
-            } else {
-                for (std::uint32_t i = 0; i < op.n; ++i)
-                    nocBuffer[i] += src[i];
-            }
-        }
-        break;
-      }
-      case ReplayKind::ReadVectorOut:
-        readVectors[op.rows].assign(nocBuffer.begin(),
-                                    nocBuffer.begin() + op.n);
-        break;
-      case ReplayKind::Broadcast: {
-        if ((op.flags & kReplayHiddenIn) != 0)
-            nocBuffer.assign(pendingHidden.begin(),
-                             pendingHidden.end());
-        float *const *dsts = tape.dstPtrs(op.pitchA);
-        for (std::uint32_t t = 0; t < op.rows; ++t)
-            std::copy(nocBuffer.begin(), nocBuffer.begin() + op.n,
-                      dsts[t]);
-        break;
-      }
-      default:
-        panic("execCommOp on a tile-level or chip-specific replay op");
     }
 }
 

@@ -1,64 +1,41 @@
 /**
  * @file
- * Step-replay tape for fidelity=fast runs (sim/fidelity.hh).
+ * The functional semantics of the tile-local instructions.
  *
- * A compiled Manna program has no data-dependent control flow: loop
- * trip counts are static and operand addresses depend only on the loop
- * iteration vector, so every MANN time step executes the exact same
- * sequence of resolved functional operations on the exact same tile
- * memory spans. Fast mode exploits that: the first post-calibration
- * step runs through the normal interpreter while appending each
- * resolved operation (raw span pointers + lengths) to a ReplayTape;
- * every later step replays the flat tape with none of the fetch /
- * decode / operand-resolution overhead. Replay executes the same
- * shared execTileOp() routine the interpreter itself uses, so a
- * replayed step is bit-identical to an interpreted one by
- * construction.
- *
- * The recorded pointers stay valid because tile memories and the
- * chip-level staging vectors are allocated once per reset(); the tape
- * is cleared on reset() along with everything else.
+ * Every data-moving tile instruction resolves to one ReplayOp (raw
+ * span pointers + lengths into the tile's memory) that execTileOp()
+ * executes. It is the single functional implementation: the
+ * cycle-accurate interpreter and the DataOnly steps of fidelity=fast
+ * (sim/fidelity.hh) both call it, so a fast step is bit-identical to
+ * a cycle-accurate one by construction.
  */
 
 #ifndef MANNA_SIM_REPLAY_HH
 #define MANNA_SIM_REPLAY_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "isa/isa.hh"
-#include "tensor/vector_ops.hh"
 
 namespace manna::sim
 {
 
-/** Discriminator for one recorded operation. */
+/** Discriminator for one resolved operation. */
 enum class ReplayKind : std::uint8_t
 {
-    // Tile-local functional ops (executed by execTileOp()).
     Copy2d,      ///< pitched row copies (matrix/vector DMA)
     Vmm,         ///< vector-matrix multiply block
     Elementwise, ///< EwAdd..Fill, including len-1 broadcast sources
     Sfu,         ///< special-function unit map / accumulate
-    // Chip-level communication ops (executed by the owning chip).
-    Reduce,        ///< combine per-tile spans into the NoC buffer
-    ReadVectorOut, ///< latch the NoC buffer as read vector `rows`
-    Broadcast,     ///< write the NoC buffer to every tile span
-    UsageToAlloc,  ///< DNC free-list scan on the NoC buffer
-    // Synthetic ops produced by the tape's peephole fusion pass
-    // (never recorded by a tile directly).
-    FusedRowUpdate, ///< soft-write quad: row = row*(c - e*w) + a*w
 };
 
 /** ReplayOp::flags bits. */
 inline constexpr std::uint8_t kReplayAccumulate = 1; ///< Vmm +=
 inline constexpr std::uint8_t kReplayWithNorms = 2;  ///< Vmm norms
 inline constexpr std::uint8_t kReplayRowDot = 4;     ///< Vmm mode
-inline constexpr std::uint8_t kReplayReduceMax = 8;  ///< else sum
-inline constexpr std::uint8_t kReplayHiddenIn = 16;  ///< Broadcast src
 
 /**
- * One recorded functional operation. Field meaning is per kind:
+ * One resolved functional operation. Field meaning is per kind:
  *
  *  Copy2d:       a=src, d=dst, n=rowWords, rows, pitchA=src pitch,
  *                pitchD=dst pitch.
@@ -69,15 +46,6 @@ inline constexpr std::uint8_t kReplayHiddenIn = 16;  ///< Broadcast src
  *                imm.
  *  Sfu:          op, a=src, b=pow exponent span (read at exec time),
  *                d=dst, n=len.
- *  Reduce:       n=words, rows=tile count, pitchA=offset into the
- *                tape's src-pointer pool, flags (kReplayReduceMax).
- *  ReadVectorOut: rows=head index, n=words.
- *  Broadcast:    n=words, rows=tile count, pitchA=offset into the
- *                dst-pointer pool, flags (kReplayHiddenIn).
- *  UsageToAlloc: no operands (chip rewrites its NoC buffer).
- *  FusedRowUpdate: a=erase row, b=w scalar, d=memory row, dn=stage,
- *                n=len, imm=the EwRsubImm constant, pitchA=offset of
- *                the add-vector row in the src-pointer pool.
  */
 struct ReplayOp
 {
@@ -95,127 +63,8 @@ struct ReplayOp
     float *dn = nullptr;
 };
 
-/**
- * The recorded operation list plus pointer pools for the comm ops
- * (whose operand count — one span per tile — doesn't fit a fixed
- * struct). Lifecycle: Idle -> startRecording() -> Recording ->
- * finishRecording() -> Ready; clear() returns to Idle from any state.
- */
-class ReplayTape
-{
-public:
-    bool recording() const { return state_ == State::Recording; }
-    bool ready() const { return state_ == State::Ready; }
-
-    void startRecording()
-    {
-        clear();
-        state_ = State::Recording;
-    }
-
-    /** Seal the tape and run the peephole optimisation passes. */
-    void finishRecording()
-    {
-        fuseRowUpdates();
-        elideStaging();
-        state_ = State::Ready;
-    }
-
-    void clear()
-    {
-        ops_.clear();
-        srcPool_.clear();
-        dstPool_.clear();
-        state_ = State::Idle;
-    }
-
-    void append(const ReplayOp &op) { ops_.push_back(op); }
-
-    /** Pool @p ptrs; returns the offset to store in ReplayOp::pitchA. */
-    std::uint32_t appendSrcPtrs(const std::vector<const float *> &ptrs)
-    {
-        const auto ofs = static_cast<std::uint32_t>(srcPool_.size());
-        srcPool_.insert(srcPool_.end(), ptrs.begin(), ptrs.end());
-        return ofs;
-    }
-
-    std::uint32_t appendDstPtrs(const std::vector<float *> &ptrs)
-    {
-        const auto ofs = static_cast<std::uint32_t>(dstPool_.size());
-        dstPool_.insert(dstPool_.end(), ptrs.begin(), ptrs.end());
-        return ofs;
-    }
-
-    const float *const *srcPtrs(std::uint32_t ofs) const
-    {
-        return srcPool_.data() + ofs;
-    }
-
-    float *const *dstPtrs(std::uint32_t ofs) const
-    {
-        return dstPool_.data() + ofs;
-    }
-
-    const std::vector<ReplayOp> &ops() const { return ops_; }
-
-private:
-    /**
-     * Peephole pass: collapse the compiler's soft-write row-update
-     * quad [EwMul(stage, e, w), EwRsubImm(stage, c), EwMul(row, row,
-     * stage), EwMac(row, a, w)] into one FusedRowUpdate op. The fused
-     * kernel performs the identical per-element operation sequence
-     * (all four ops are element-independent maps), including the
-     * final stage values, so replay stays bit-exact; it exists to cut
-     * per-op dispatch overhead on the dominant tape pattern.
-     */
-    void fuseRowUpdates();
-
-    /**
-     * Staging-elision pass: the compiler's blocked sweeps stage every
-     * matrix block through a scratch buffer (DmaLoadM -> compute ->
-     * DmaStoreM), which on the big workloads is about half of the
-     * replayed memory traffic. This pass detects the two block shapes
-     * the codegen emits — [load][FusedRowUpdate x rows][store] and
-     * [load][Vmm reads...] — retargets the compute ops at the
-     * scratchpad rows directly (same values, same FP ops, just no
-     * round-trip through the buffer) and drops the dead copies. A
-     * buffer region is only elided when every tape op touching it
-     * belongs to one of its matched groups, so any unexpected
-     * consumer of staged data keeps the copies intact.
-     */
-    void elideStaging();
-
-    enum class State : std::uint8_t
-    {
-        Idle,
-        Recording,
-        Ready,
-    };
-
-    State state_ = State::Idle;
-    std::vector<ReplayOp> ops_;
-    std::vector<const float *> srcPool_;
-    std::vector<float *> dstPool_;
-};
-
-/**
- * Execute one tile-local op (Copy2d/Vmm/Elementwise/Sfu). This is the
- * single functional implementation: the tile interpreter builds a
- * ReplayOp per instruction and calls this in BOTH fidelities, so a
- * replayed fast step cannot diverge from a cycle-accurate one.
- * @p tape is required only for FusedRowUpdate (src-pointer pool).
- */
-void execTileOp(const ReplayOp &op, const ReplayTape *tape = nullptr);
-
-/**
- * Execute one chip-level comm op (Reduce/ReadVectorOut/Broadcast)
- * against the owning chip's staging state. UsageToAlloc (DNC only)
- * is handled by ChipCore::runTape before delegating here.
- */
-void execCommOp(const ReplayOp &op, const ReplayTape &tape,
-                std::vector<float> &nocBuffer,
-                std::vector<tensor::FVec> &readVectors,
-                const tensor::FVec &pendingHidden);
+/** Execute one tile-local op (Copy2d/Vmm/Elementwise/Sfu). */
+void execTileOp(const ReplayOp &op);
 
 } // namespace manna::sim
 

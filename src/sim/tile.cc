@@ -202,7 +202,6 @@ DiffMemTile::reset()
     std::fill(std::begin(opWords_), std::end(opWords_), 0.0);
     lastOpBusy_ = 0.0;
     lastOpWords_ = 0.0;
-    tape_ = nullptr;
     program_ = nullptr;
     pc_ = 0;
     loopStack_.clear();
@@ -660,7 +659,7 @@ DiffMemTile::execVmm(const Instruction &inst)
         lastOpWords_ = static_cast<double>(numRows) * numCols;
     }
 
-    // Functional semantics (shared with replay — sim/replay.cc).
+    // Functional semantics (sim/replay.cc).
     ReplayOp rop;
     rop.kind = ReplayKind::Vmm;
     rop.n = numCols;
@@ -752,7 +751,7 @@ DiffMemTile::execElementwise(const Instruction &inst)
                static_cast<double>(len) * (isMac ? 2.0 : 1.0));
     }
 
-    // Functional semantics (shared with replay — sim/replay.cc).
+    // Functional semantics (sim/replay.cc).
     ReplayOp rop;
     rop.kind = ReplayKind::Elementwise;
     rop.op = inst.op;
@@ -848,9 +847,8 @@ DiffMemTile::execSfu(const Instruction &inst)
         counters_[TileCounter::SfuOps] += len;
     }
 
-    // Functional semantics (shared with replay — sim/replay.cc). The
-    // SfuPow exponent pointer is recorded, not its value: the tape
-    // re-reads it each step because tile code can update it.
+    // Functional semantics (sim/replay.cc). The SfuPow exponent is
+    // passed as a pointer into tile memory and read at execution time.
     ReplayOp rop;
     rop.kind = ReplayKind::Sfu;
     rop.op = inst.op;
@@ -863,13 +861,6 @@ DiffMemTile::execSfu(const Instruction &inst)
 
 const float *
 DiffMemTile::operandSpan(const Operand &op) const
-{
-    const Operand r = resolveOperand(op);
-    return mem_.span(r.space, r.base, r.len);
-}
-
-float *
-DiffMemTile::operandSpanMut(const Operand &op)
 {
     const Operand r = resolveOperand(op);
     return mem_.span(r.space, r.base, r.len);

@@ -18,6 +18,12 @@
  * ordering. Communication instructions (Reduce/Broadcast) suspend the
  * tile; the Chip performs the exchange and resumes every tile at the
  * synchronized time (the paper's fence semantics).
+ *
+ * ExecMode selects which semantics run: both (the cycle-accurate
+ * interpreter), functional only (the steps of fidelity=fast after its
+ * calibration prefix) or timing only (sim::TimingChip). The
+ * functional half of every mode with data is one shared routine,
+ * execTileOp() (sim/replay.hh).
  */
 
 #ifndef MANNA_SIM_TILE_HH
@@ -276,18 +282,9 @@ class DiffMemTile
      */
     void setExecMode(ExecMode mode) { mode_ = mode; }
 
-    /**
-     * Attach (or detach, with nullptr) a recording replay tape: while
-     * attached and recording, every executed instruction's resolved
-     * functional operation is appended (see sim/replay.hh). reset()
-     * detaches.
-     */
-    void setReplayTape(ReplayTape *tape) { tape_ = tape; }
-
-    /** Resolved span of @p op against current loop state (for the
-     * chip's comm-op recording). */
+    /** Resolved span of @p op against current loop state; bounds-
+     * checks the operand (nullptr on a size-only memory). */
     const float *operandSpan(const isa::Operand &op) const;
-    float *operandSpanMut(const isa::Operand &op);
 
   private:
     /** Busy counter of each engine, in TraceLane order. */
@@ -309,17 +306,15 @@ class DiffMemTile
         counters_.values[stallIndex(lane, reason)] += cycles;
     }
 
-    /** Record @p op if a tape is attached, then execute it via the
-     * shared functional implementation (sim/replay.cc). Called by the
-     * exec* handlers in BOTH fidelities, so interpreted and replayed
-     * steps share one functional code path. A TimingOnly tile has no
-     * data, so there is nothing to execute. */
+    /** Execute @p op via the shared functional implementation
+     * (sim/replay.cc). Called by the exec* handlers in every mode
+     * with data, so cycle-accurate and DataOnly steps share one
+     * functional code path. A TimingOnly tile has no data, so there
+     * is nothing to execute. */
     void runFunctional(const ReplayOp &op)
     {
         if (mode_ == ExecMode::TimingOnly)
             return;
-        if (tape_ != nullptr && tape_->recording())
-            tape_->append(op);
         execTileOp(op);
     }
 
@@ -462,7 +457,6 @@ class DiffMemTile
     double lastOpWords_ = 0.0;
     TraceLogger *trace_ = nullptr;
     ExecMode mode_;
-    ReplayTape *tape_ = nullptr; ///< attached only while recording
 };
 
 } // namespace manna::sim

@@ -1,5 +1,7 @@
 #include "tile_memory.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace manna::sim
@@ -93,6 +95,13 @@ std::size_t
 TileMemory::words(isa::Space space) const
 {
     return words_[index(space)];
+}
+
+void
+TileMemory::clear()
+{
+    for (auto &space : data_)
+        std::fill(space.begin(), space.end(), 0.0f);
 }
 
 } // namespace manna::sim

@@ -58,6 +58,9 @@ class TileMemory
 
     std::size_t words(isa::Space space) const;
 
+    /** Zero every word in place (no-op on a size-only memory). */
+    void clear();
+
   private:
     /** Index of @p space into words_/data_; panics on Space::None. */
     static std::size_t index(isa::Space space);

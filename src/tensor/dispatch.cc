@@ -172,24 +172,11 @@ circularConvolveScalar(const float *a, std::size_t n,
     }
 }
 
-void
-rowUpdateScalar(const float *e, const float *add, float w, float c,
-                float *row, float *stage, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        float s = e[i] * w;
-        s = c - s;
-        const float r = row[i] * s;
-        row[i] = r + add[i] * w;
-        stage[i] = s;
-    }
-}
-
 const KernelTable kScalarTable = {
     "scalar",    addScalar,      subScalar, mulScalar,
     scaleScalar, axpyScalar,     macScalar, sumScalar,
     dotScalar,   dotNormScalar,  scaleMaxScalar,
-    circularConvolveScalar,      rowUpdateScalar,
+    circularConvolveScalar,
 };
 
 struct Selection

@@ -109,17 +109,6 @@ struct KernelTable
     void (*circularConvolve)(const float *a, std::size_t n,
                              const float *shift, std::size_t taps,
                              float *out);
-
-    /**
-     * Fused soft-write row update (the fast-mode replay workhorse):
-     * per element, s = c - e[i]*w; row[i] = row[i]*s + add[i]*w;
-     * stage[i] = s. Element-independent with every multiply/add
-     * explicit (never contracted), so all paths are exact. No operand
-     * may alias row or stage.
-     */
-    void (*rowUpdate)(const float *e, const float *add, float w,
-                      float c, float *row, float *stage,
-                      std::size_t n);
 };
 
 /** The scalar reference table (canonical semantics). */

@@ -212,35 +212,11 @@ circularConvolveAvx2(const float *a, std::size_t n, const float *shift,
     }
 }
 
-void
-rowUpdateAvx2(const float *e, const float *add, float w, float c,
-              float *row, float *stage, std::size_t n)
-{
-    const __m256 vw = _mm256_set1_ps(w);
-    const __m256 vc = _mm256_set1_ps(c);
-    const std::size_t main = n & ~(kStripe - 1);
-    for (std::size_t i = 0; i < main; i += kStripe) {
-        const __m256 s =
-            _mm256_sub_ps(vc, _mm256_mul_ps(_mm256_loadu_ps(e + i), vw));
-        const __m256 r = _mm256_mul_ps(_mm256_loadu_ps(row + i), s);
-        const __m256 av = _mm256_mul_ps(_mm256_loadu_ps(add + i), vw);
-        _mm256_storeu_ps(row + i, _mm256_add_ps(r, av));
-        _mm256_storeu_ps(stage + i, s);
-    }
-    for (std::size_t i = main; i < n; ++i) {
-        float s = e[i] * w;
-        s = c - s;
-        const float r = row[i] * s;
-        row[i] = r + add[i] * w;
-        stage[i] = s;
-    }
-}
-
 const KernelTable kAvx2Table = {
     "avx2",    addAvx2,      subAvx2, mulAvx2,
     scaleAvx2, axpyAvx2,     macAvx2, sumAvx2,
     dotAvx2,   dotNormAvx2,  scaleMaxAvx2,
-    circularConvolveAvx2,    rowUpdateAvx2,
+    circularConvolveAvx2,
 };
 
 } // namespace

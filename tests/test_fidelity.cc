@@ -2,11 +2,11 @@
  * @file
  * fidelity=fast contract tests: fast runs must produce bit-identical
  * tensor state to cycle runs (outputs, read vectors, gathered memory)
- * on both chip models — which also exercises the step-replay tape,
- * the fused-row-update peephole, and the staging-elision pass — while
- * the extrapolated cycle counts stay within the 5% tolerance gate and
- * the report carries the same stats key set. Every sweep bench must
- * also honour the fidelity= knob.
+ * on both chip models and on every Table 2 model — which exercises
+ * the tiles' DataOnly interpretation and the chip's untimed comms
+ * after calibration — while the extrapolated cycle counts stay within
+ * the 5% tolerance gate and the report carries the same stats key set.
+ * Every sweep bench must also honour the fidelity= knob.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include "sim/chip.hh"
 #include "sim/dnc_chip.hh"
 #include "sim/fidelity.hh"
+#include "workloads/benchmarks.hh"
 
 namespace manna::sim
 {
@@ -35,8 +36,8 @@ using mann::DncConfig;
 using mann::MannConfig;
 using tensor::FVec;
 
-// Enough steps that most of the run executes from the replay tape
-// (steps 1-2 calibrate and record; 3+ replay).
+// Enough steps that most of the run executes data-only (steps 1-2
+// calibrate cycle-accurately; 3+ interpret with no timing).
 constexpr std::size_t kSteps = 8;
 
 MannConfig
@@ -96,13 +97,13 @@ expectBitEqual(const FVec &a, const FVec &b, const char *what,
 template <typename ChipT, typename ModelT>
 void
 compareFidelities(const ModelT &model, std::size_t inputDim,
-                  std::size_t readHeads)
+                  std::size_t readHeads, std::size_t steps = kSteps)
 {
     ChipT cyc(model, /*seed=*/21, Fidelity::Cycle);
     ChipT fast(model, /*seed=*/21, Fidelity::Fast);
-    const auto in = inputs(inputDim, kSteps, 99);
+    const auto in = inputs(inputDim, steps, 99);
 
-    for (std::size_t t = 0; t < kSteps; ++t) {
+    for (std::size_t t = 0; t < steps; ++t) {
         const FVec outC = cyc.step(in[t]);
         const FVec outF = fast.step(in[t]);
         expectBitEqual(outC, outF, "output", t);
@@ -136,7 +137,7 @@ compareFidelities(const ModelT &model, std::size_t inputDim,
     EXPECT_EQ(repF.stats.entries().at("fidelity.calibration_steps"),
               static_cast<double>(kFastCalibrationSteps));
     EXPECT_EQ(repF.stats.entries().at("fidelity.extrapolated_steps"),
-              static_cast<double>(kSteps - kFastCalibrationSteps));
+              static_cast<double>(steps - kFastCalibrationSteps));
 
     ASSERT_GT(repC.totalCycles, 0u);
     const double dev =
@@ -163,10 +164,26 @@ TEST(Fidelity, DncChipFastBitIdenticalAndWithinTolerance)
     compareFidelities<DncChip>(model, dc.inputDim, dc.numReadHeads);
 }
 
+TEST(Fidelity, Table2ModelsFastBitIdenticalAndWithinTolerance)
+{
+    // The real models at the paper's 16 tiles: one data-only step
+    // after calibration covers every codegen path they use.
+    for (const auto &bench : workloads::table2Suite()) {
+        SCOPED_TRACE(bench.name);
+        const auto &mc = bench.config;
+        const auto model =
+            compiler::compile(mc, arch::MannaConfig::withTiles(16));
+        compareFidelities<Chip>(model, mc.inputDim, mc.numReadHeads,
+                                kFastCalibrationSteps + 1);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
 TEST(Fidelity, FastResetReplaysCleanly)
 {
-    // A reset mid-run must drop the tape and recalibrate; the second
-    // run must be bit-identical to a fresh fast chip's.
+    // A reset mid-run must leave fast mode and recalibrate; the
+    // second run must be bit-identical to a fresh fast chip's.
     const auto mc = ntmConfig();
     const auto model =
         compiler::compile(mc, arch::MannaConfig::withTiles(4));

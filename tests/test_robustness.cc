@@ -280,7 +280,7 @@ TEST(CancelToken, DncChipHonorsCancellation)
     EXPECT_THROW(stopped.step(x), SimError);
 
     // ...and a token that never fires must not perturb outputs or the
-    // report, in either fidelity (fast mode replays from step 3 on).
+    // report, in either fidelity (fast mode is untimed from step 3 on).
     for (const sim::Fidelity fidelity :
          {sim::Fidelity::Cycle, sim::Fidelity::Fast}) {
         CancelToken idle;

@@ -570,45 +570,6 @@ TEST_P(SimdTwinProperty, CircularConvolveBitIdentical)
     expectBitEqual(outA, outR, "circularConvolve");
 }
 
-TEST_P(SimdTwinProperty, RowUpdateBitIdenticalAndMatchesUnfused)
-{
-    const std::size_t n = GetParam();
-    Rng rng(n + 9400);
-    const auto &act = simd::kernels();
-    const auto &ref = simd::scalarKernels();
-    const FVec e = hostileVec(n, rng);
-    const FVec add = hostileVec(n, rng);
-    const FVec row0 = randomVec(n, rng);
-    const float w = 0.61f;
-    const float c = 1.0f;
-
-    FVec rowA = row0;
-    FVec rowR = row0;
-    FVec stgA(n);
-    FVec stgR(n);
-    act.rowUpdate(e.data(), add.data(), w, c, rowA.data(),
-                  stgA.data(), n);
-    ref.rowUpdate(e.data(), add.data(), w, c, rowR.data(),
-                  stgR.data(), n);
-    expectBitEqual(rowA, rowR, "rowUpdate row");
-    expectBitEqual(stgA, stgR, "rowUpdate stage");
-
-    // The fused kernel must round exactly like the unfused op
-    // sequence it replaces (mul, rsub-imm, mul, mac).
-    FVec stage(n);
-    FVec rowU = row0;
-    ref.scale(e.data(), w, stage.data(), n);
-    for (std::size_t i = 0; i < n; ++i)
-        stage[i] = c - stage[i];
-    ref.mul(rowU.data(), stage.data(), rowU.data(), n);
-    FVec addw(n);
-    ref.scale(add.data(), w, addw.data(), n);
-    for (std::size_t i = 0; i < n; ++i)
-        rowU[i] += addw[i];
-    expectBitEqual(rowA, rowU, "rowUpdate vs unfused sequence");
-    expectBitEqual(stgA, stage, "rowUpdate stage vs unfused");
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, SimdTwinProperty,
                          ::testing::Values(1, 3, 7, 8, 9, 31, 64,
                                            100, 257));
