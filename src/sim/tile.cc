@@ -487,8 +487,8 @@ DiffMemTile::execDmaMatrix(const Instruction &inst)
     // side addresses the first row; subsequent rows advance by
     // bufPitch. The span covers first row start through last row end
     // (every row is in the buffer, so the full extent is too).
-    ReplayOp rop;
-    rop.kind = ReplayKind::Copy2d;
+    TileOp rop;
+    rop.kind = TileOpKind::Copy2d;
     rop.n = rowWords;
     rop.rows = rows;
     rop.pitchA = isStore ? spadPitch : bufPitch;
@@ -533,8 +533,8 @@ DiffMemTile::execDmaVector(const Instruction &inst)
         lastOpWords_ = src.len;
     }
 
-    ReplayOp rop;
-    rop.kind = ReplayKind::Copy2d;
+    TileOp rop;
+    rop.kind = TileOpKind::Copy2d;
     rop.n = src.len;
     rop.rows = 1;
     rop.a = mem_.span(src.space, src.base, src.len);
@@ -659,16 +659,16 @@ DiffMemTile::execVmm(const Instruction &inst)
         lastOpWords_ = static_cast<double>(numRows) * numCols;
     }
 
-    // Functional semantics (sim/replay.cc).
-    ReplayOp rop;
-    rop.kind = ReplayKind::Vmm;
+    // Functional semantics (sim/tile_ops.cc).
+    TileOp rop;
+    rop.kind = TileOpKind::Vmm;
     rop.n = numCols;
     rop.rows = numRows;
     rop.pitchA = pitch;
     rop.flags = static_cast<std::uint8_t>(
-        (rowDot ? kReplayRowDot : 0) |
-        (withNorms ? kReplayWithNorms : 0) |
-        (accumulate ? kReplayAccumulate : 0));
+        (rowDot ? kTileOpRowDot : 0) |
+        (withNorms ? kTileOpWithNorms : 0) |
+        (accumulate ? kTileOpAccumulate : 0));
     rop.a = mem_.span(vec.space, vec.base, vec.len);
     rop.b = mem_.span(matBlock.space, matBlock.base, matBlock.len);
     rop.d = mem_.span(dst.space, dst.base, dst.len);
@@ -751,9 +751,9 @@ DiffMemTile::execElementwise(const Instruction &inst)
                static_cast<double>(len) * (isMac ? 2.0 : 1.0));
     }
 
-    // Functional semantics (sim/replay.cc).
-    ReplayOp rop;
-    rop.kind = ReplayKind::Elementwise;
+    // Functional semantics (sim/tile_ops.cc).
+    TileOp rop;
+    rop.kind = TileOpKind::Elementwise;
     rop.op = inst.op;
     rop.n = len;
     rop.pitchA = needsA ? a.len : 0;
@@ -847,10 +847,10 @@ DiffMemTile::execSfu(const Instruction &inst)
         counters_[TileCounter::SfuOps] += len;
     }
 
-    // Functional semantics (sim/replay.cc). The SfuPow exponent is
+    // Functional semantics (sim/tile_ops.cc). The SfuPow exponent is
     // passed as a pointer into tile memory and read at execution time.
-    ReplayOp rop;
-    rop.kind = ReplayKind::Sfu;
+    TileOp rop;
+    rop.kind = TileOpKind::Sfu;
     rop.op = inst.op;
     rop.n = len;
     rop.a = mem_.span(a.space, a.base, len);

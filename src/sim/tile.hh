@@ -23,7 +23,7 @@
  * interpreter), functional only (the steps of fidelity=fast after its
  * calibration prefix) or timing only (sim::TimingChip). The
  * functional half of every mode with data is one shared routine,
- * execTileOp() (sim/replay.hh).
+ * execTileOp() (sim/tile_ops.hh).
  */
 
 #ifndef MANNA_SIM_TILE_HH
@@ -40,7 +40,7 @@
 #include "common/types.hh"
 #include "isa/program.hh"
 #include "sim/counters.hh"
-#include "sim/replay.hh"
+#include "sim/tile_ops.hh"
 #include "sim/tile_memory.hh"
 #include "sim/trace.hh"
 
@@ -307,11 +307,11 @@ class DiffMemTile
     }
 
     /** Execute @p op via the shared functional implementation
-     * (sim/replay.cc). Called by the exec* handlers in every mode
+     * (sim/tile_ops.cc). Called by the exec* handlers in every mode
      * with data, so cycle-accurate and DataOnly steps share one
      * functional code path. A TimingOnly tile has no data, so there
      * is nothing to execute. */
-    void runFunctional(const ReplayOp &op)
+    void runFunctional(const TileOp &op)
     {
         if (mode_ == ExecMode::TimingOnly)
             return;

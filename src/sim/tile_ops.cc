@@ -1,4 +1,4 @@
-#include "replay.hh"
+#include "tile_ops.hh"
 
 #include <algorithm>
 #include <cmath>
@@ -16,7 +16,7 @@ namespace
 {
 
 void
-execVmm(const ReplayOp &op)
+execVmm(const TileOp &op)
 {
     const float *v = op.a;
     const float *block = op.b;
@@ -24,14 +24,14 @@ execVmm(const ReplayOp &op)
     const std::uint32_t numRows = op.rows;
     const std::uint32_t numCols = op.n;
     const std::uint32_t pitch = op.pitchA;
-    const bool accumulate = (op.flags & kReplayAccumulate) != 0;
+    const bool accumulate = (op.flags & kTileOpAccumulate) != 0;
     const auto &k = tensor::simd::kernels();
-    if ((op.flags & kReplayRowDot) != 0) {
+    if ((op.flags & kTileOpRowDot) != 0) {
         float *dn = op.dn;
         for (std::uint32_t r = 0; r < numRows; ++r) {
             const float *row = block + r * pitch;
             float dotAcc = 0.0f;
-            if ((op.flags & kReplayWithNorms) != 0) {
+            if ((op.flags & kTileOpWithNorms) != 0) {
                 float normAcc = 0.0f;
                 k.dotNorm(row, v, numCols, &dotAcc, &normAcc);
                 if (accumulate) {
@@ -61,7 +61,7 @@ execVmm(const ReplayOp &op)
 }
 
 void
-execElementwise(const ReplayOp &op)
+execElementwise(const TileOp &op)
 {
     const float *pa = op.a;
     const float *pb = op.b;
@@ -136,7 +136,7 @@ execElementwise(const ReplayOp &op)
 }
 
 void
-execSfu(const ReplayOp &op)
+execSfu(const TileOp &op)
 {
     const float *pa = op.a;
     float *pd = op.d;
@@ -196,23 +196,23 @@ execSfu(const ReplayOp &op)
 } // namespace
 
 void
-execTileOp(const ReplayOp &op)
+execTileOp(const TileOp &op)
 {
     switch (op.kind) {
-      case ReplayKind::Copy2d:
+      case TileOpKind::Copy2d:
         for (std::uint32_t r = 0; r < op.rows; ++r) {
             const float *from = op.a + r * op.pitchA;
             float *to = op.d + r * op.pitchD;
             std::copy(from, from + op.n, to);
         }
         break;
-      case ReplayKind::Vmm:
+      case TileOpKind::Vmm:
         execVmm(op);
         break;
-      case ReplayKind::Elementwise:
+      case TileOpKind::Elementwise:
         execElementwise(op);
         break;
-      case ReplayKind::Sfu:
+      case TileOpKind::Sfu:
         execSfu(op);
         break;
     }

@@ -2,7 +2,7 @@
  * @file
  * The functional semantics of the tile-local instructions.
  *
- * Every data-moving tile instruction resolves to one ReplayOp (raw
+ * Every data-moving tile instruction resolves to one TileOp (raw
  * span pointers + lengths into the tile's memory) that execTileOp()
  * executes. It is the single functional implementation: the
  * cycle-accurate interpreter and the DataOnly steps of fidelity=fast
@@ -10,8 +10,8 @@
  * a cycle-accurate one by construction.
  */
 
-#ifndef MANNA_SIM_REPLAY_HH
-#define MANNA_SIM_REPLAY_HH
+#ifndef MANNA_SIM_TILE_OPS_HH
+#define MANNA_SIM_TILE_OPS_HH
 
 #include <cstdint>
 
@@ -21,7 +21,7 @@ namespace manna::sim
 {
 
 /** Discriminator for one resolved operation. */
-enum class ReplayKind : std::uint8_t
+enum class TileOpKind : std::uint8_t
 {
     Copy2d,      ///< pitched row copies (matrix/vector DMA)
     Vmm,         ///< vector-matrix multiply block
@@ -29,10 +29,10 @@ enum class ReplayKind : std::uint8_t
     Sfu,         ///< special-function unit map / accumulate
 };
 
-/** ReplayOp::flags bits. */
-inline constexpr std::uint8_t kReplayAccumulate = 1; ///< Vmm +=
-inline constexpr std::uint8_t kReplayWithNorms = 2;  ///< Vmm norms
-inline constexpr std::uint8_t kReplayRowDot = 4;     ///< Vmm mode
+/** TileOp::flags bits. */
+inline constexpr std::uint8_t kTileOpAccumulate = 1; ///< Vmm +=
+inline constexpr std::uint8_t kTileOpWithNorms = 2;  ///< Vmm norms
+inline constexpr std::uint8_t kTileOpRowDot = 4;     ///< Vmm mode
 
 /**
  * One resolved functional operation. Field meaning is per kind:
@@ -47,9 +47,9 @@ inline constexpr std::uint8_t kReplayRowDot = 4;     ///< Vmm mode
  *  Sfu:          op, a=src, b=pow exponent span (read at exec time),
  *                d=dst, n=len.
  */
-struct ReplayOp
+struct TileOp
 {
-    ReplayKind kind = ReplayKind::Copy2d;
+    TileOpKind kind = TileOpKind::Copy2d;
     isa::Opcode op = isa::Opcode::Nop;
     std::uint8_t flags = 0;
     std::uint32_t n = 0;
@@ -64,8 +64,8 @@ struct ReplayOp
 };
 
 /** Execute one tile-local op (Copy2d/Vmm/Elementwise/Sfu). */
-void execTileOp(const ReplayOp &op);
+void execTileOp(const TileOp &op);
 
 } // namespace manna::sim
 
-#endif // MANNA_SIM_REPLAY_HH
+#endif // MANNA_SIM_TILE_OPS_HH
